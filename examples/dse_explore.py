@@ -9,7 +9,14 @@ trajectory against it.
 Run:  python examples/dse_explore.py
 """
 
-from repro.dse import explore, greedy_partition, pareto_front
+from repro.dse import (
+    CampaignConfig,
+    explore,
+    greedy_partition,
+    otsu_directives_space,
+    pareto_front,
+    run_campaign,
+)
 from repro.util.text import format_table
 
 
@@ -47,12 +54,13 @@ def main() -> None:
 
     # Second dimension: once the partition is fixed (Arch4), sweep the
     # PIPELINE directives the flow forwards to HLS per core.
-    from repro.dse import explore_directives
-
     print("\nDirective sweep over Arch4 (what to PIPELINE):")
-    for p in sorted(explore_directives(width=24, height=24), key=lambda p: p.cycles):
-        print(f"  {p.label():<38} cycles={p.cycles}")
-
+    sweep = run_campaign(
+        CampaignConfig(space=otsu_directives_space(), width=24, height=24)
+    )
+    for p in sorted(sweep.points, key=lambda p: p.cycles):
+        label = "+".join(p.candidate.get("pipelined")) or "none"
+        print(f"  {label:<38} cycles={p.cycles}")
 
 if __name__ == "__main__":
     main()

@@ -22,11 +22,6 @@ from repro.dse.campaign import (
     run_campaign,
     sdsoc_baseline_point,
 )
-from repro.dse.directives import (
-    DirectivePoint,
-    evaluate_directive_config,
-    explore_directives,
-)
 from repro.dse.evaluate import (
     DsePoint,
     EvalPoint,
@@ -49,7 +44,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "Candidate",
-    "DirectivePoint",
     "DsePoint",
     "EvalPoint",
     "ParetoFront",
@@ -57,10 +51,8 @@ __all__ = [
     "dominates",
     "dse_flow_config",
     "evaluate_candidate",
-    "evaluate_directive_config",
     "evaluate_hw_set",
     "explore",
-    "explore_directives",
     "frontier_dominates",
     "greedy_partition",
     "otsu_directives_space",

@@ -23,11 +23,13 @@ candidate that re-synthesizes a function another candidate already
 compiled hits the frontend/result memos instead of spawning a private
 cold store.
 
-**Resumability.**  An append-only JSONL journal records the campaign
-header plus one record per evaluated point.  A killed campaign resumed
-against the same journal re-derives the identity, skips every cid
-already journaled (tolerating a torn final line), evaluates the rest,
-and lands on the same digest as an uninterrupted run.
+**Resumability.**  An append-only :class:`~repro.util.durable.JsonlLog`
+journal records the campaign header plus one fsynced record per
+evaluated point.  A killed campaign resumed against the same journal
+re-derives the identity, skips every cid already journaled (a torn
+final line is dropped and truncated away; damage before it is refused
+like a foreign header), evaluates the rest, and lands on the same
+digest as an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.dse.evaluate import EvalPoint, evaluate_candidate
 from repro.dse.pareto import OBJECTIVES, ParetoFront, dominates
 from repro.dse.space import Candidate, SearchSpace, sdsoc_baseline_candidate
 from repro.flow.journal import stable_digest
+from repro.util.durable import JsonlLog
 from repro.util.errors import ReproError
 
 #: Bumped whenever the evaluation semantics change — part of the
@@ -166,32 +169,22 @@ def campaign_digest(identity: str, points: list[EvalPoint]) -> str:
 # -- journal ---------------------------------------------------------------
 
 
-def _read_journal(path: Path, identity: str) -> list[EvalPoint]:
-    """Load journaled points, tolerating a torn final line."""
-    points: list[EvalPoint] = []
-    header_seen = False
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            # Torn tail from a mid-write kill: everything before it is
-            # intact (appends are line-buffered), so just stop here.
-            break
-        kind = rec.get("kind")
-        if kind == "campaign":
-            if rec.get("identity") != identity:
-                raise ReproError(
-                    "journal belongs to a different campaign: "
-                    f"{rec.get('identity')!r} != {identity!r}"
-                )
-            header_seen = True
-        elif kind == "point":
-            points.append(EvalPoint.from_record(rec))
-    if not header_seen:
+def _read_journal(
+    path: Path, identity: str, log: JsonlLog | None = None
+) -> list[EvalPoint]:
+    """Load journaled points; a torn final line is dropped, any other
+    damage or a foreign header is refused with :class:`ReproError`."""
+    records = (log or JsonlLog(path)).read() or []
+    if not records or records[0].get("kind") != "campaign":
         raise ReproError(f"journal {path} has no campaign header")
-    return points
+    if records[0].get("identity") != identity:
+        raise ReproError(
+            "journal belongs to a different campaign: "
+            f"{records[0].get('identity')!r} != {identity!r}"
+        )
+    return [
+        EvalPoint.from_record(r) for r in records[1:] if r.get("kind") == "point"
+    ]
 
 
 def _worker_evaluate(payload: tuple) -> EvalPoint:
@@ -220,37 +213,28 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     candidates = sorted(config.space, key=lambda c: c.cid)
     journal = Path(config.journal_path) if config.journal_path else None
 
-    done: list[EvalPoint] = []
-    if journal is not None and config.resume and journal.exists():
-        done = _read_journal(journal, identity)
+    log = JsonlLog(journal) if journal is not None else None
+    resuming = log is not None and config.resume and journal.exists()
+    done = _read_journal(journal, identity, log) if resuming else []
     resumed = len(done)
     done_cids = {p.cid for p in done}
     pending = [c for c in candidates if c.cid not in done_cids]
     if config.stop_after is not None:
         pending = pending[: config.stop_after]
 
-    journal_fh = None
-    if journal is not None:
-        journal.parent.mkdir(parents=True, exist_ok=True)
-        if config.resume and journal.exists():
-            journal_fh = journal.open("a")
-        else:
-            journal_fh = journal.open("w")
-            journal_fh.write(
-                json.dumps(
-                    {
-                        "kind": "campaign",
-                        "identity": identity,
-                        "engine": ENGINE_VERSION,
-                        "space": config.space.describe(),
-                        "width": config.width,
-                        "height": config.height,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            journal_fh.flush()
+    if resuming:
+        log.reopen()
+    elif log is not None:
+        log.start(
+            {
+                "kind": "campaign",
+                "identity": identity,
+                "engine": ENGINE_VERSION,
+                "space": config.space.describe(),
+                "width": config.width,
+                "height": config.height,
+            }
+        )
 
     new_points: list[EvalPoint] = []
     try:
@@ -271,15 +255,15 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             ) as pool:
                 for point in pool.map(_worker_evaluate, payloads):
                     new_points.append(point)
-                    _journal_point(journal_fh, point)
+                    _journal_point(log, point)
         else:
             for payload in payloads:
                 point = _worker_evaluate(payload)
                 new_points.append(point)
-                _journal_point(journal_fh, point)
+                _journal_point(log, point)
     finally:
-        if journal_fh is not None:
-            journal_fh.close()
+        if log is not None:
+            log.close()
 
     points = done + new_points
     wrong = [p.label() for p in points if not p.correct]
@@ -306,11 +290,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     )
 
 
-def _journal_point(fh, point: EvalPoint) -> None:
-    if fh is None:
-        return
-    fh.write(json.dumps({"kind": "point", **point.record()}, sort_keys=True) + "\n")
-    fh.flush()
+def _journal_point(log: JsonlLog | None, point: EvalPoint) -> None:
+    if log is not None:
+        log.append({"kind": "point", **point.record()})
 
 
 __all__ = [

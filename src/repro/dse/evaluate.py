@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.otsu.app import build_otsu_custom, buildable_hw_sets
-from repro.dse.space import Candidate
+from repro.dse.space import Candidate, actors_of
 from repro.flow.orchestrator import FlowConfig, run_flow
 from repro.sim.runtime import simulate_application
 from repro.soc.integrator import IntegrationConfig
@@ -145,6 +145,9 @@ def evaluate_candidate(
     pipelined = frozenset(candidate.get("pipelined", ()))
     dma = candidate.get("dma", "paired")
     hp_words = int(candidate.get("hp_words", 2))
+    unknown = pipelined - set(actors_of(hw))
+    if unknown:
+        raise ReproError(f"not pipelineable in {sorted(hw)}: {sorted(unknown)}")
     app = build_otsu_custom(hw, width=width, height=height)
 
     dma_cells = 0

@@ -19,7 +19,8 @@ detected on read, counted, **quarantined** (moved to
 ``<dir>/quarantine/`` with a structured :class:`CacheIntegrityWarning`,
 so the bad bytes stay available for a post-mortem) and treated as a
 miss — the core is then rebuilt, never served from the bad bytes.
-Writes go through a temp-file + :func:`os.replace` so a crashed build
+Writes go through :func:`~repro.util.durable.atomic_write` (temp file +
+rename, no fsync: a lost entry is only a rebuild) so a crashed build
 leaves no partial entry.
 
 The cache is safe to share between serial and parallel flows *and
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -47,6 +47,7 @@ from pathlib import Path
 
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.util.durable import atomic_write
 from repro.util.errors import CacheLockTimeout
 
 try:  # posix; on platforms without fcntl the lock degrades to a no-op
@@ -455,18 +456,7 @@ class BuildCache:
         blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
         path = self._path(key)
         with self._locked():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, blob, durable=False)
             self._evict()
 
     def _evict(self) -> None:

@@ -12,13 +12,15 @@ re-executes.
 
 Durability model
 ----------------
-* The journal is an append-only JSONL file; every record is one line,
-  flushed and fsynced before the step runs, so a ``kill -9`` at any
-  instant loses at most the line being written.
-* A torn trailing line (the crash hit mid-append) is tolerated and
-  ignored on load; a torn line *before* the end means the file did not
-  come from this writer, so the whole journal is discarded — a clean
-  rebuild is always safe, stale reuse never is.
+* The journal is a :class:`~repro.util.durable.JsonlLog`: every record
+  is one line, flushed and fsynced before the step runs, so a ``kill
+  -9`` at any instant loses at most the line being written.
+* A torn trailing line (the crash hit mid-append) is dropped on load
+  and truncated away before the resumed run appends, so a second crash
+  and resume still finds every committed step; a malformed line
+  *before* the end means the file did not come from this writer, so
+  the whole journal is discarded — a clean rebuild is always safe,
+  stale reuse never is.
 * The header pins the *run digest* — a digest of everything the flow
   depends on (DSL text, C sources, directives, backend, config).  A
   journal whose header does not match the current inputs is discarded,
@@ -40,6 +42,8 @@ from pathlib import Path
 
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.util.durable import JsonlLog
+from repro.util.errors import ForeignLog
 
 #: Bumped on incompatible journal-format changes; old journals are then
 #: discarded (clean rebuild) instead of misread.
@@ -51,15 +55,6 @@ def stable_digest(obj: object) -> str:
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=repr).encode()
     ).hexdigest()
-
-
-def fsync_dir(path: Path) -> None:
-    """fsync a directory so a file created inside it survives power loss."""
-    dirfd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(dirfd)
-    finally:
-        os.close(dirfd)
 
 
 class RunJournal:
@@ -88,7 +83,7 @@ class RunJournal:
         self.interrupted: tuple[str, ...] = ()
         self._committed: dict[str, str] = {}
         self._started: dict[str, str] = {}
-        self._fh = None
+        self._fh: JsonlLog | None = None  # the open log; None once closed
 
     # -- lifecycle ---------------------------------------------------------
     def begin(self, run_digest: str) -> None:
@@ -104,7 +99,8 @@ class RunJournal:
         self.interrupted = ()
         self._committed = {}
         self._started = {}
-        records = self._load()
+        self._fh = JsonlLog(self.path)
+        records = self._load(self._fh)
         if records is not None:
             started, committed = {}, {}
             for rec in records:
@@ -128,40 +124,16 @@ class RunJournal:
                 _METRICS.counter(
                     "journal.replays", "committed records replayed on resume"
                 ).inc(len(committed))
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.reopen()
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "w", encoding="utf-8")
-            self._append({"e": "run", "v": JOURNAL_VERSION, "d": run_digest})
-            # The header record is fsynced by _append, but the *file
-            # creation* lives in the directory: without a dir fsync a
-            # power loss can forget the journal exists while keeping
-            # artifacts it journaled — fsync the parent so the header
-            # is durable the way every record after it is.
-            fsync_dir(self.path.parent)
+            self._fh.start({"e": "run", "v": JOURNAL_VERSION, "d": run_digest})
 
-    def _load(self) -> list[dict] | None:
-        """Parse the on-disk journal; ``None`` means start fresh."""
+    def _load(self, log: JsonlLog) -> list[dict] | None:
+        """Records after a matching header; ``None`` means start fresh."""
         try:
-            raw = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        lines = raw.split("\n")
-        # A crash mid-append leaves a torn final line: raw not ending in
-        # "\n" makes lines[-1] that torn fragment; drop it.  (A complete
-        # file ends in "\n", so lines[-1] is then just "".)
-        lines = lines[:-1]
-        records: list[dict] = []
-        for i, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                if i == len(lines) - 1:
-                    break  # torn tail from a crash mid-write — tolerated
-                return None  # corruption before the tail — discard all
-            records.append(rec)
+            records = log.read()
+        except ForeignLog:
+            return None  # corruption before the tail — discard all
         if not records:
             return None
         head = records[0]
@@ -187,9 +159,7 @@ class RunJournal:
     # -- records -----------------------------------------------------------
     def _append(self, rec: dict) -> None:
         assert self._fh is not None, "RunJournal.begin() not called"
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._fh.append(rec)
 
     def step_start(self, step: str, digest: str) -> None:
         """Durably record the *intent* to run *step* — before the work."""
@@ -244,4 +214,4 @@ class RunJournal:
         }
 
 
-__all__ = ["JOURNAL_VERSION", "RunJournal", "fsync_dir", "stable_digest"]
+__all__ = ["JOURNAL_VERSION", "RunJournal", "stable_digest"]

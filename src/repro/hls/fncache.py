@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from repro.hls.ir import Function
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.util.durable import atomic_write
 
 #: Version of the per-function memo layout; combined with the engine
 #: version in every key, so bumping either strands stale entries.
@@ -233,15 +234,14 @@ class FunctionCache:
         """
         if self._store is None:
             return
-        path = self._stats_path()
         with self._store._locked():
             disk = self._load_disk_stats()
             disk["hits"] += self.stats.hits - self._flushed.get("hits", 0)
             disk["misses"] += self.stats.misses - self._flushed.get("misses", 0)
             disk["stores"] += self.stats.stores - self._flushed.get("stores", 0)
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(json.dumps(disk, sort_keys=True))
-            os.replace(tmp, path)
+            atomic_write(
+                self._stats_path(), json.dumps(disk, sort_keys=True), durable=False
+            )
         self._flushed = self.stats.as_dict()
 
     def _load_disk_stats(self) -> dict[str, int]:
@@ -264,11 +264,12 @@ class FunctionCache:
         assert self._store is not None, "scrub needs a disk-backed cache"
         with self._lock:
             report = self._store.scrub()
-            path = self._stats_path()
             with self._store._locked():
-                tmp = path.with_name(path.name + ".tmp")
-                tmp.write_text(json.dumps({"hits": 0, "misses": 0, "stores": 0}))
-                os.replace(tmp, path)
+                atomic_write(
+                    self._stats_path(),
+                    json.dumps({"hits": 0, "misses": 0, "stores": 0}),
+                    durable=False,
+                )
             self._flushed = self.stats.as_dict()
             return report
 

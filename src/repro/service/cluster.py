@@ -60,7 +60,7 @@ from repro.service.daemon import BuildService, ServiceServer
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord
 from repro.service.leases import Fence, FencedWrite, LeaseLost, LeaseManager
 from repro.service.robust import RetryPolicy
-from repro.service.store import JobScan, _durable_write
+from repro.service.store import JobScan, write_json
 
 REPLICAS_DIR = "replicas"
 
@@ -318,7 +318,7 @@ class ClusterReplica:
         payload["fenced_writes_total"] = _METRICS.counter(
             "service.fenced_writes_total"
         ).value
-        _durable_write(self._report_path, payload)
+        write_json(self._report_path, payload)
 
 
 def read_replica_reports(root: str | Path) -> list[dict]:

@@ -75,7 +75,7 @@ from repro.service.robust import (
     Deadline,
     RetryPolicy,
 )
-from repro.service.store import JobStore
+from repro.service.store import JobStore, write_json
 from repro.sim.faults import RecoveryPolicy
 from repro.util.errors import FlowInterrupted, ReproError
 
@@ -518,9 +518,7 @@ class BuildService:
             "recoveries": len(res.report.recovery_events),
         }
         report["digest"] = stable_digest(report)
-        from repro.service.store import _durable_write
-
-        _durable_write(sim_path, report)
+        write_json(sim_path, report)
         journal.step_commit("simulate", digest_in)
         crashpoint("simulate:commit")
         return report["digest"]

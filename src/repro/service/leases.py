@@ -1,4 +1,4 @@
-"""Durable, fsynced lease files: leader-less job ownership with fencing.
+r"""Durable, fsynced lease files: leader-less job ownership with fencing.
 
 Multiple :class:`~repro.service.cluster.ClusterReplica` processes share
 one service root and coordinate **without a leader** through lease files
@@ -25,8 +25,9 @@ primitives that are atomic on POSIX:
   clobber the current owner's lease or heartbeat, no matter how
   unluckily it wakes up.
 
-Every lease mutation fsyncs the file and then the ``leases/`` directory,
-so ownership survives power loss, not just process death.
+Every lease mutation fsyncs the file and then the ``leases/`` directory
+(through :mod:`repro.util.durable`), so ownership survives power loss,
+not just process death.
 
 **Fencing.**  The token is monotonically increasing per job (steal =
 token + 1, and the claim files — kept until the lease is released —
@@ -53,9 +54,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.flow.journal import fsync_dir
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.util.durable import atomic_write, fsync_dir, publish_excl
 from repro.util.errors import ReproError
 
 LEASES_DIR = "leases"
@@ -95,6 +96,10 @@ class Lease:
             "token": self.token,
             "acquired_at": self.acquired_at,
         }
+
+    def to_json(self) -> str:
+        """The lease-file bytes: one line of sorted JSON."""
+        return json.dumps(self.as_dict(), sort_keys=True) + "\n"
 
 
 class LeaseManager:
@@ -176,14 +181,6 @@ class LeaseManager:
     def _claim_path(self, job_id: str, token: int) -> Path:
         return self.dir / f"{job_id}.claim.{token}"
 
-    def _write_payload(self, tmp: Path, lease: Lease) -> None:
-        """Write the lease payload to *tmp*, durable before any link."""
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(lease.as_dict(), fh, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _create(self, job_id: str, token: int) -> Lease | None:
         """Link a fully-written, fsynced lease into place (O_EXCL)."""
         lease = Lease(
@@ -192,16 +189,8 @@ class LeaseManager:
             token=token,
             acquired_at=self.clock(),
         )
-        self.dir.mkdir(parents=True, exist_ok=True)
-        tmp = self.dir / f".tmp-{self.replica_id}-{job_id}"
-        self._write_payload(tmp, lease)
-        try:
-            os.link(tmp, self.lease_path(job_id))
-        except FileExistsError:
+        if not publish_excl(self.lease_path(job_id), lease.to_json()):
             return None  # someone else holds (or just took) the lease
-        finally:
-            os.unlink(tmp)
-        fsync_dir(self.dir)
         self._beat(lease)
         return lease
 
@@ -250,17 +239,7 @@ class LeaseManager:
                 or current.replica != lease.replica
             ):
                 return None  # the world moved on while we decided
-            self.dir.mkdir(parents=True, exist_ok=True)
-            tmp = self.dir / f".tmp-{self.replica_id}-{job_id}"
-            self._write_payload(tmp, fresh)
-            try:
-                os.link(tmp, claim)
-                won = True
-            except FileExistsError:
-                won = False
-            finally:
-                os.unlink(tmp)
-            if not won:
+            if not publish_excl(claim, fresh.to_json()):
                 self._finish_steal(job_id, lease, claim)
                 return None
             self._install_claim(job_id, claim)
@@ -320,10 +299,11 @@ class LeaseManager:
         only makes the lease look older than it is, which at worst
         causes an earlier (always safe) steal.
         """
-        path = self._hb_path(lease.job_id, lease.token)
-        tmp = path.parent / f".tmp-{path.name}-{self.replica_id}"
-        tmp.write_text(json.dumps({"t": self.clock(), "token": lease.token}))
-        os.replace(tmp, path)
+        atomic_write(
+            self._hb_path(lease.job_id, lease.token),
+            json.dumps({"t": self.clock(), "token": lease.token}),
+            durable=False,
+        )
 
     def renew(self, lease: Lease) -> bool:
         """Refresh the heartbeat; ``False`` when the lease is no longer ours.
@@ -439,5 +419,4 @@ __all__ = [
     "Lease",
     "LeaseLost",
     "LeaseManager",
-    "fsync_dir",
 ]

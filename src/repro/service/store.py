@@ -12,13 +12,15 @@ Layout under one service root::
     <root>/tenants/<t>/jobs/<job>/failed.json   terminal FAILED record
     <root>/index/<content_digest>.json          global warm-serving index
 
-``job.json`` is the service-level write-ahead intent: it is written —
-fsynced, then atomically renamed into place — *before* the job enters
-the scheduler, so a daemon killed at any instant can reconstruct its
-whole queue from disk.  Recovery classifies each job directory by what
-survived: a terminal record means the job is re-served from its own
-durable result (*replay*); a journal without a terminal record means
-the job died mid-flight and resumes through
+``job.json`` is the service-level write-ahead intent: it is published
+first-writer-wins (:func:`~repro.util.durable.publish_excl`: fsynced,
+then linked into place) *before* the job enters the scheduler, so a
+daemon killed at any instant can reconstruct its whole queue from
+disk.  Every other record is replaced durably with :func:`write_json`.
+Recovery classifies each job directory by what survived: a terminal
+record means the job is re-served from its own durable result
+(*replay*); a journal without a terminal record means the job died
+mid-flight and resumes through
 :func:`~repro.flow.orchestrator.resume_flow` (*resume*); ``job.json``
 alone means the job never started and is simply re-queued.
 
@@ -39,10 +41,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.flow.buildcache import BuildCache
-from repro.flow.journal import fsync_dir
 from repro.flow.workspace import verify_workspace
 from repro.service.jobs import DONE, JobRecord, JobSpec
 from repro.service.leases import Fence
+from repro.util.durable import atomic_write, publish_excl
 
 _JOB_FILE = "job.json"
 _JOURNAL_FILE = "journal.jsonl"
@@ -52,43 +54,13 @@ _SIM_FILE = "sim.json"
 _OUT_DIR = "out"
 
 
-def _durable_write(path: Path, payload: dict) -> None:
-    """Write JSON atomically: temp file, fsync, rename, fsync dir."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".tmp-{path.name}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_dir(path.parent)
+def write_json(path: Path, payload: dict) -> None:
+    """Durably replace *path* with *payload* rendered as sorted JSON."""
+    atomic_write(path, _render(payload), durable=True)
 
 
-def _durable_publish_excl(path: Path, payload: dict, *, suffix: str) -> bool:
-    """Durably create *path* if and only if it does not exist yet.
-
-    The multi-replica publish primitive: the payload is fully written
-    and fsynced to a temp file, then ``os.link``ed into place — an
-    atomic create-if-absent, so of any number of racing publishers
-    exactly the first wins and no reader ever sees a torn record.
-    Returns ``False`` when *path* already existed (the caller lost).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".tmp-{suffix}-{path.name}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        os.unlink(tmp)
-    fsync_dir(path.parent)
-    return True
+def _render(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _read_json(path: Path) -> dict | None:
@@ -154,16 +126,17 @@ class JobStore:
         path = self.job_dir(tenant, job_id) / _JOB_FILE
         if path.exists():
             return False
-        return _durable_publish_excl(
+        return publish_excl(
             path,
-            {
-                "tenant": tenant,
-                "job_id": job_id,
-                "order": order,
-                "content_digest": spec.content_digest(),
-                "spec": spec.as_dict(),
-            },
-            suffix="spec",
+            _render(
+                {
+                    "tenant": tenant,
+                    "job_id": job_id,
+                    "order": order,
+                    "content_digest": spec.content_digest(),
+                    "spec": spec.as_dict(),
+                }
+            ),
         )
 
     def load_spec(self, tenant: str, job_id: str) -> JobSpec | None:
@@ -196,15 +169,13 @@ class JobStore:
         path = self.job_dir(record.tenant, record.job_id) / name
         payload = {"content_digest": content_digest, "record": record.as_dict()}
         if fence is None:
-            _durable_write(path, payload)
+            write_json(path, payload)
         else:
             fence.validate()
-            if not _durable_publish_excl(
-                path, payload, suffix=fence.lease.replica
-            ):
+            if not publish_excl(path, _render(payload)):
                 fence.rejected("already-published")
         if record.state == DONE:
-            _durable_write(
+            write_json(
                 self.index_root / f"{content_digest}.json",
                 {
                     "tenant": record.tenant,
@@ -261,7 +232,7 @@ class JobStore:
         src_sim = self.sim_path(entry["tenant"], entry["job_id"])
         sim = _read_json(src_sim)
         if sim is not None:
-            _durable_write(self.sim_path(tenant, job_id), sim)
+            write_json(self.sim_path(tenant, job_id), sim)
         return entry
 
     # -- recovery ----------------------------------------------------------
@@ -306,4 +277,4 @@ class JobStore:
         return scans
 
 
-__all__ = ["JobScan", "JobStore"]
+__all__ = ["JobScan", "JobStore", "write_json"]

@@ -235,3 +235,14 @@ class WorkspaceTorn(FlowError):
         self.root = root
         self.missing = missing
         self.mismatched = mismatched
+
+
+# --- durability ---------------------------------------------------------
+class ForeignLog(ReproError):
+    """A JSONL log is malformed before its final line.
+
+    A kill mid-append can only tear the *last* line, so damage earlier
+    in the file means some other writer produced it.  Raised by
+    :meth:`repro.util.durable.JsonlLog.read`; the flow journal then
+    starts fresh, a DSE campaign refuses to resume.
+    """

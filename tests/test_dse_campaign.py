@@ -1,6 +1,12 @@
 """Tests for the DSE search space, campaign runner, and cache routing."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +23,7 @@ from repro.dse import (
     sdsoc_baseline_point,
 )
 from repro.dse.campaign import _read_journal, campaign_digest
-from repro.dse.space import Axis, SearchSpace, actors_of
+from repro.dse.space import PIPELINEABLE_ACTOR_OF, Axis, SearchSpace, actors_of
 from repro.hls import fncache
 from repro.util.errors import ReproError
 
@@ -204,6 +210,38 @@ class TestCampaign:
         assert resumed.resumed == killed.evaluated
         assert resumed.completed
 
+    def test_torn_tail_truncated_before_next_resume(self, tmp_path):
+        """kill -> resume part-way -> resume fully keeps every point the
+        first resume evaluated: the torn fragment is cut off before the
+        resumed run appends, instead of swallowing its first record."""
+        space = small_space()
+        cfg = dict(
+            space=space,
+            fn_cache_dir=str(tmp_path / "fn"),
+            journal_path=str(tmp_path / "torn.jsonl"),
+        )
+        run_campaign(CampaignConfig(**cfg, stop_after=2))
+        with open(cfg["journal_path"], "a") as fh:
+            fh.write('{"kind": "point", "cid": "tr')  # mid-write kill
+        partial = run_campaign(CampaignConfig(**cfg, resume=True, stop_after=2))
+        assert partial.resumed == 2 and partial.evaluated == 2
+        final = run_campaign(CampaignConfig(**cfg, resume=True))
+        assert final.resumed == 4
+        assert final.completed
+
+    def test_resume_refuses_corruption_before_tail(self, tmp_path):
+        journal = tmp_path / "corrupt.jsonl"
+        cfg = dict(
+            space=small_space(),
+            fn_cache_dir=str(tmp_path / "fn"),
+            journal_path=str(journal),
+        )
+        run_campaign(CampaignConfig(**cfg, stop_after=2))
+        head, first, rest = journal.read_text().split("\n", 2)
+        journal.write_text("\n".join([head, first[: len(first) // 2], rest]))
+        with pytest.raises(ReproError, match="not written by this writer"):
+            run_campaign(CampaignConfig(**cfg, resume=True))
+
     def test_resume_rejects_foreign_journal(self, tmp_path):
         journal = tmp_path / "foreign.jsonl"
         run_campaign(
@@ -260,6 +298,23 @@ class TestCampaign:
         assert stats.hits == result.fn_cache_hits
         assert stats.misses == result.fn_cache_misses
 
+    def test_directives_sweep_pipelining_pays(self, tmp_path):
+        # The 2^3 PIPELINE sweep over the Table-I Arch4 partition: only
+        # the pipelineable actors are on the axis, every configuration
+        # computes the right image, and pipelining everything beats
+        # pipelining nothing at system level.
+        space = otsu_directives_space()
+        pipelineable = set(PIPELINEABLE_ACTOR_OF.values())
+        assert {a for c in space for a in c.get("pipelined")} == pipelineable
+        result = run_campaign(
+            CampaignConfig(space=space, fn_cache_dir=str(tmp_path / "fn"))
+        )
+        assert len(result.points) == 8
+        assert all(p.correct for p in result.points)
+        by_pipelined = {p.candidate.get("pipelined"): p for p in result.points}
+        full = by_pipelined[tuple(sorted(pipelineable))]
+        assert full.cycles < by_pipelined[()].cycles
+
     def test_frontier_dominates_sdsoc_baseline(self, tmp_path):
         fn_dir = str(tmp_path / "fn")
         result = run_campaign(
@@ -284,3 +339,53 @@ class TestCampaign:
         report = result.frontier_report(baseline=baseline)
         assert report["baseline_dominated"] is True
         assert report["points_evaluated"] == len(result.points)
+
+
+class TestRealKillViaCli:
+    """SIGKILL of ``repro dse`` mid-campaign, resumed by the CLI."""
+
+    def run_dse(self, root, *extra, wait=True):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        cmd = [
+            sys.executable, "-m", "repro", "dse", "--space", "directives",
+            "--size", "64x64", "--root", str(root),
+            "--digest-out", str(root) + ".digest", *extra,
+        ]
+        if not wait:
+            return subprocess.Popen(
+                cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+            )
+        done = subprocess.run(
+            cmd, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout, Path(str(root) + ".digest").read_text()
+
+    @staticmethod
+    def journaled_points(journal: Path) -> int:
+        try:
+            return journal.read_text().count('"kind": "point"')
+        except OSError:
+            return 0
+
+    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
+        root = tmp_path / "killed"
+        journal = root / "campaign.jsonl"
+        proc = self.run_dse(root, wait=False)
+        deadline = time.monotonic() + 120
+        while self.journaled_points(journal) < 3:
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "campaign made no progress"
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+        proc.stderr.close()
+        assert proc.returncode == -signal.SIGKILL
+        killed_at = self.journaled_points(journal)
+        assert 3 <= killed_at < len(otsu_directives_space())
+
+        out, resumed = self.run_dse(root, "--resume")
+        assert f"resumed {killed_at}," in out
+        _, clean = self.run_dse(tmp_path / "clean")
+        assert resumed == clean

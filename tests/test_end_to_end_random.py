@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from repro.apps.generator import random_task_graph
+from repro.dse import (
+    CampaignConfig,
+    Candidate,
+    evaluate_candidate,
+    otsu_directives_space,
+    run_campaign,
+)
 from repro.flow import FlowConfig, autosimulate, run_flow
-from repro.dse import evaluate_directive_config, explore_directives
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8, 21])
@@ -49,10 +55,13 @@ def test_two_parallel_chains(seed):
 
 
 class TestDirectiveDse:
+    """The 2^3 PIPELINE sweep over Arch4, driven through the campaign API."""
+
     def test_single_config(self):
-        none = evaluate_directive_config(frozenset(), width=16, height=16)
-        piped = evaluate_directive_config(
-            {"grayScale", "computeHistogram", "segment"}, width=16, height=16
+        by_pipelined = {c.get("pipelined"): c for c in otsu_directives_space()}
+        none = evaluate_candidate(by_pipelined[()])
+        piped = evaluate_candidate(
+            by_pipelined[("computeHistogram", "grayScale", "segment")]
         )
         assert none.correct and piped.correct
         assert piped.cycles < none.cycles  # pipelining pays at system level
@@ -60,15 +69,24 @@ class TestDirectiveDse:
     def test_unknown_actor_rejected(self):
         from repro.util.errors import ReproError
 
+        arch4 = otsu_directives_space().candidates()[0]
+        bad = Candidate.make(
+            {**arch4.as_dict(), "pipelined": ("halfProbability",)}
+        )
         with pytest.raises(ReproError, match="pipelineable"):
-            evaluate_directive_config({"halfProbability"})
+            evaluate_candidate(bad)
 
-    def test_full_sweep_monotone_in_best_case(self):
-        points = explore_directives(width=16, height=16)
+    def test_full_sweep_monotone_in_best_case(self, tmp_path):
+        result = run_campaign(
+            CampaignConfig(
+                space=otsu_directives_space(), fn_cache_dir=str(tmp_path / "fn")
+            )
+        )
+        points = result.points
         assert len(points) == 8
-        by_label = {p.label(): p for p in points}
-        full = by_label["computeHistogram+grayScale+segment"]
-        none = by_label["none"]
+        by_pipelined = {p.candidate.get("pipelined"): p for p in points}
+        full = by_pipelined[("computeHistogram", "grayScale", "segment")]
+        none = by_pipelined[()]
         assert full.cycles < none.cycles
         # Every configuration produced the right image.
         assert all(p.correct for p in points)

@@ -114,6 +114,35 @@ class TestDiscard:
         assert r.committed("s1", "d1")  # everything before the tear survives
         assert r.crash_recoveries == 0
 
+    def test_torn_tail_truncated_before_next_append(self, tmp_path):
+        """kill -> resume -> more commits -> resume keeps every commit.
+
+        The torn fragment must be cut off before the resumed run
+        appends; otherwise the next record is glued onto it, the glued
+        line sits before the end, and the second resume discards the
+        whole journal.
+        """
+        j = RunJournal(tmp_path / "journal")
+        j.begin(RUN)
+        j.step_start("s1", "d1")
+        j.step_commit("s1", "d1")
+        j.close()
+        with open(tmp_path / "journal", "a") as fh:
+            fh.write('{"e": "start", "s": "s2"')  # crash mid-append
+
+        r = RunJournal(tmp_path / "journal")
+        r.begin(RUN)
+        r.step_start("s2", "d2")
+        r.step_commit("s2", "d2")
+        r.close()
+
+        again = RunJournal(tmp_path / "journal")
+        again.begin(RUN)
+        assert again.resumed
+        assert again.committed("s1", "d1") and again.committed("s2", "d2")
+        assert again.crash_recoveries == 0
+        again.close()
+
     def test_corruption_before_tail_discards_all(self, tmp_path):
         j = RunJournal(tmp_path / "journal")
         j.begin(RUN)

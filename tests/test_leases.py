@@ -15,6 +15,7 @@ from repro.obs import capture
 from repro.obs.metrics import REGISTRY
 from repro.service import FencedWrite, LeaseLost, LeaseManager
 from repro.service.leases import Fence
+from repro.util.durable import publish_excl
 
 
 class FakeClock:
@@ -152,12 +153,7 @@ class TestSteal:
         fresh = type(view)(
             job_id="j-1", replica="b", token=2, acquired_at=clock()
         )
-        tmp = b.dir / ".tmp-crashed-b"
-        b._write_payload(tmp, fresh)
-        import os
-
-        os.link(tmp, b._claim_path("j-1", 2))
-        os.unlink(tmp)
+        assert publish_excl(b._claim_path("j-1", 2), fresh.to_json())
         # c tries to steal token 2, finds the claim taken, helps out.
         assert c.steal("j-1", c.read("j-1")) is None
         current = c.read("j-1")
