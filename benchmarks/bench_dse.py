@@ -1,20 +1,25 @@
 """X3 — design-space exploration over the Otsu partitions (future work).
 
-Exhaustively evaluates every buildable partition (real flow + simulated
-execution), extracts the area/latency Pareto front and checks the greedy
-heuristic ends on it.  The second leg runs the full campaign engine —
-partitions × PIPELINE subsets × DMA policies through a process pool
-sharing one per-function HLS store — and requires the frontier to
-dominate the SDSoC one-DMA-per-stream baseline.
+The first leg runs one paired-DMA campaign (every buildable partition ×
+PIPELINE subset, real flow + simulated execution) and reads everything
+off its points: the all-pipelined point of each partition, their
+five-objective Pareto front, and the greedy heuristic's trajectory,
+which must end on that front.  No candidate is evaluated twice.  The
+second leg runs the full campaign engine — partitions × PIPELINE
+subsets × DMA policies through a process pool sharing one per-function
+HLS store — and requires the frontier to dominate the SDSoC
+one-DMA-per-stream baseline.
 """
 
 import tempfile
 
 from conftest import save_artifact
 
+from repro.apps.otsu.app import buildable_hw_sets
 from repro.dse import (
     CampaignConfig,
-    explore,
+    all_pipelined_candidate,
+    dominates,
     frontier_dominates,
     greedy_partition,
     otsu_space,
@@ -26,12 +31,28 @@ from repro.util.text import format_table
 
 
 def test_dse_pareto(benchmark):
-    points = benchmark.pedantic(
-        lambda: explore(width=16, height=16), rounds=1, iterations=1
-    )
+    with tempfile.TemporaryDirectory(prefix="bench-dse-") as td:
+        result = benchmark.pedantic(
+            lambda: run_campaign(
+                CampaignConfig(
+                    space=otsu_space(dma_policies=("paired",)),
+                    fn_cache_dir=f"{td}/fn",
+                )
+            ),
+            rounds=1,
+            iterations=1,
+        )
+    by_cid = {p.cid: p for p in result.points}
+    points = [by_cid[all_pipelined_candidate(hw).cid] for hw in buildable_hw_sets()]
     front = pareto_front(points)
     rows = [
-        (p.label(), p.lut, p.dsp, p.cycles, "front" if p in front else "")
+        (
+            "+".join(p.candidate.get("hw")) or "all-sw",
+            p.lut,
+            p.dsp,
+            p.cycles,
+            "front" if p in front else "",
+        )
         for p in sorted(points, key=lambda p: p.lut)
     ]
     text = format_table(
@@ -47,12 +68,8 @@ def test_dse_pareto(benchmark):
     # The all-software point anchors the front's low-area end.
     assert front[0].lut == 0
 
-    trajectory = greedy_partition(
-        evaluator=lambda hw: next(p for p in points if p.hw == hw)
-    )
+    trajectory = greedy_partition(evaluator=lambda c: by_cid[c.cid])
     final = trajectory[-1]
-    from repro.dse.pareto import dominates
-
     assert not any(dominates(q, final) for q in points)
 
 

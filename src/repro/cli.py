@@ -1063,6 +1063,8 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         sdsoc_baseline_point,
     )
 
+    if args.resume and not args.root:
+        raise ReproError("--resume needs --root: the journal lives there")
     width, _, height = args.size.partition("x")
     width, height = int(width), int(height or width)
     space = _dse_space(args.space)

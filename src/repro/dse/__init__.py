@@ -6,13 +6,15 @@ and can be manually obtained by the user or with the help of DSE tools
 package closes that loop for the Otsu case study, COSMOS-style:
 describe a composable search space (:mod:`space` — partitions × HLS
 PIPELINE subsets × DMA policies × HP-port bandwidth), evaluate each
-candidate through the real flow and simulator (:mod:`evaluate`) with
-every worker sharing one persistent per-function HLS memo store, prune
-dominated points to a latency-vs-LUT/FF/BRAM/DSP Pareto frontier
-(:mod:`pareto`), and run the whole thing as a parallel, journaled,
-resumable, deterministically-digested campaign (:mod:`campaign`).
-The greedy heuristic (:mod:`heuristics`) stays as a cross-check on the
-exhaustive frontier.
+candidate through the real flow and simulator with the one evaluator
+:func:`evaluate_candidate` (:mod:`evaluate`), every worker sharing one
+persistent per-function HLS memo store, prune dominated points to a
+latency-vs-LUT/FF/BRAM/DSP Pareto frontier (:mod:`pareto`), and run the
+whole thing as a parallel, journaled, resumable,
+deterministically-digested campaign (:mod:`campaign`).  The greedy
+heuristic (:mod:`heuristics`) walks the same candidates through the
+same evaluator — or through a finished campaign's points — as a
+cross-check on the exhaustive frontier.
 """
 
 from repro.dse.campaign import (
@@ -22,19 +24,13 @@ from repro.dse.campaign import (
     run_campaign,
     sdsoc_baseline_point,
 )
-from repro.dse.evaluate import (
-    DsePoint,
-    EvalPoint,
-    dse_flow_config,
-    evaluate_candidate,
-    evaluate_hw_set,
-    explore,
-)
+from repro.dse.evaluate import EvalPoint, dse_flow_config, evaluate_candidate
 from repro.dse.heuristics import greedy_partition
 from repro.dse.pareto import ParetoFront, dominates, pareto_front
 from repro.dse.space import (
     Candidate,
     SearchSpace,
+    all_pipelined_candidate,
     otsu_directives_space,
     otsu_space,
     sdsoc_baseline_candidate,
@@ -44,15 +40,13 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "Candidate",
-    "DsePoint",
     "EvalPoint",
     "ParetoFront",
     "SearchSpace",
+    "all_pipelined_candidate",
     "dominates",
     "dse_flow_config",
     "evaluate_candidate",
-    "evaluate_hw_set",
-    "explore",
     "frontier_dominates",
     "greedy_partition",
     "otsu_directives_space",

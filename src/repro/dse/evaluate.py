@@ -1,12 +1,9 @@
 """Candidate evaluation: run the flow + simulator per candidate.
 
-Two evaluation surfaces live here:
-
-* the PR 0 partition-only helpers (:class:`DsePoint`,
-  :func:`evaluate_hw_set`, :func:`explore`) kept for back-compat; and
-* the campaign evaluator (:func:`evaluate_candidate`) over full
-  :class:`~repro.dse.space.Candidate` points — partition × PIPELINE
-  subset × DMA policy × HP-port bandwidth.
+:func:`evaluate_candidate` is the one evaluator: it turns a
+:class:`~repro.dse.space.Candidate` (partition × PIPELINE subset × DMA
+policy × HP-port bandwidth) into an :class:`EvalPoint`.  The campaign
+runner and the greedy heuristic both go through it.
 
 Every flow config a DSE evaluation uses comes from one factory,
 :func:`dse_flow_config`, which pins the cache routing **explicitly**:
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.otsu.app import build_otsu_custom, buildable_hw_sets
+from repro.apps.otsu.app import build_otsu_custom
 from repro.dse.space import Candidate, actors_of
 from repro.flow.orchestrator import FlowConfig, run_flow
 from repro.sim.runtime import simulate_application
@@ -54,25 +51,6 @@ def dse_flow_config(
         fn_cache_dir=str(fn_cache_dir) if fn_cache_dir is not None else None,
         integration=IntegrationConfig(one_dma_per_stream=one_dma_per_stream),
     )
-
-
-@dataclass(frozen=True)
-class DsePoint:
-    """One evaluated partition."""
-
-    hw: frozenset[str]
-    lut: int
-    ff: int
-    bram18: int
-    dsp: int
-    cycles: int
-    correct: bool
-
-    def objectives(self) -> tuple[int, int, int, int, int]:
-        return (self.lut, self.ff, self.bram18, self.dsp, self.cycles)
-
-    def label(self) -> str:
-        return "+".join(sorted(self.hw)) if self.hw else "all-sw"
 
 
 @dataclass(frozen=True)
@@ -206,59 +184,3 @@ def evaluate_candidate(
         fn_cache_hits=fn_hits,
         fn_cache_misses=fn_misses,
     )
-
-
-def evaluate_hw_set(
-    hw: frozenset[str] | set[str],
-    *,
-    width: int = 32,
-    height: int = 32,
-    config: FlowConfig | None = None,
-) -> DsePoint:
-    """Build, synthesize and simulate one candidate partition."""
-    hw = frozenset(hw)
-    app = build_otsu_custom(hw, width=width, height=height)
-    if hw:
-        flow = run_flow(
-            app.dsl_graph(),
-            app.c_sources,
-            extra_directives=app.extra_directives,
-            config=config or dse_flow_config(),
-        )
-        system = flow.system
-        usage = flow.bitstream.utilization
-    else:
-        system = None
-        from repro.hls.resources import ResourceUsage
-
-        usage = ResourceUsage()
-    report = simulate_application(
-        app.htg, app.partition, app.behaviors, {}, system=system
-    )
-    correct = bool(
-        np.array_equal(report.of("binImage"), np.asarray(app.golden["binary"]))
-    )
-    return DsePoint(
-        hw=hw,
-        lut=usage.lut,
-        ff=usage.ff,
-        bram18=usage.bram18,
-        dsp=usage.dsp,
-        cycles=report.cycles,
-        correct=correct,
-    )
-
-
-def explore(
-    *,
-    width: int = 32,
-    height: int = 32,
-    candidates: list[frozenset[str]] | None = None,
-) -> list[DsePoint]:
-    """Evaluate every buildable partition (or the given *candidates*)."""
-    candidates = candidates if candidates is not None else buildable_hw_sets()
-    points = [evaluate_hw_set(hw, width=width, height=height) for hw in candidates]
-    wrong = [p.label() for p in points if not p.correct]
-    if wrong:
-        raise ReproError(f"candidates produced wrong output: {wrong}")
-    return points

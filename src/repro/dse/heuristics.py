@@ -3,9 +3,12 @@
 A simple hill-climber over the buildable hardware sets: starting from
 all-software, repeatedly move the function whose acceleration buys the
 most cycles per LUT, while the result stays buildable and keeps
-improving.  Benchmarked against the exhaustive Pareto front (the
-exhaustive space is tiny for the case study, which is exactly why it
-makes a good correctness reference).
+improving.  Every step is a :class:`~repro.dse.space.Candidate` — the
+partition with all its actors pipelined on paired DMAs — so the
+trajectory is a walk through the campaign's own space and can be
+checked against the exhaustive Pareto front of a finished campaign
+(the case-study space is tiny, which is exactly why it makes a good
+correctness reference).
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.apps.otsu.app import buildable_hw_sets
-from repro.dse.evaluate import DsePoint, evaluate_hw_set
+from repro.dse.evaluate import EvalPoint, evaluate_candidate
+from repro.dse.space import Candidate, all_pipelined_candidate
 
 
 def greedy_partition(
@@ -21,40 +25,37 @@ def greedy_partition(
     width: int = 32,
     height: int = 32,
     lut_budget: int | None = None,
-    evaluator: Callable[[frozenset[str]], DsePoint] | None = None,
+    evaluator: Callable[[Candidate], EvalPoint] | None = None,
     fn_cache_dir: str | None = None,
-) -> list[DsePoint]:
+) -> list[EvalPoint]:
     """Greedy trajectory from all-software; returns the visited points.
 
     The last element is the heuristic's chosen solution.  *evaluator*
-    can replace the full flow+simulation (for tests); *lut_budget* caps
-    the area; *fn_cache_dir* shares one per-function memo store across
-    the trajectory's flow runs.
+    replaces :func:`evaluate_candidate` (a test double, or a lookup by
+    cid into a finished campaign's points); *lut_budget* caps the area;
+    *fn_cache_dir* shares one per-function memo store across the
+    trajectory's flow runs, as a campaign's workers do.
     """
     if evaluator is None:
-        from repro.dse.evaluate import dse_flow_config
 
-        def evaluator(hw: frozenset[str]) -> DsePoint:  # noqa: F811
-            return evaluate_hw_set(
-                hw,
-                width=width,
-                height=height,
-                config=dse_flow_config(fn_cache_dir=fn_cache_dir),
+        def evaluator(candidate: Candidate) -> EvalPoint:  # noqa: F811
+            return evaluate_candidate(
+                candidate, width=width, height=height, fn_cache_dir=fn_cache_dir
             )
 
-    buildable = set(buildable_hw_sets())
-    current = evaluator(frozenset())
+    buildable = buildable_hw_sets()
+    remaining = set().union(*buildable)
+    current = evaluator(all_pipelined_candidate(()))
     trajectory = [current]
-    remaining = {"grayScale", "histogram", "otsuMethod", "binarization"}
 
     while remaining:
-        best: DsePoint | None = None
+        best: EvalPoint | None = None
         best_gain = 0.0
+        hw = frozenset(current.candidate.get("hw"))
         for func in sorted(remaining):
-            candidate_set = frozenset(current.hw | {func})
-            if candidate_set not in buildable:
+            if (hw | {func}) not in buildable:
                 continue
-            point = evaluator(candidate_set)
+            point = evaluator(all_pipelined_candidate(hw | {func}))
             if lut_budget is not None and point.lut > lut_budget:
                 continue
             delta_cycles = current.cycles - point.cycles
@@ -66,5 +67,5 @@ def greedy_partition(
             break
         current = best
         trajectory.append(current)
-        remaining -= current.hw
+        remaining -= set(current.candidate.get("hw"))
     return trajectory

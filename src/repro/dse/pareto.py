@@ -1,19 +1,18 @@
 """Multi-objective Pareto-front extraction and streaming pruning.
 
-Objectives are minimized, area-first: ``(lut, ff, bram18, dsp,
-cycles)``.  Any point object works as long as it exposes those
-attributes or an ``objectives()`` method; ties on the whole vector are
-broken by a stable identity (``cid`` / ``label()``), which is what makes
-both the batch extractor and the streaming accumulator
-**permutation-invariant** — the frontier is a function of the point
-*set*, not of evaluation order.  That property is load-bearing: the
-parallel campaign runner completes candidates in nondeterministic order
-and still has to produce a byte-identical frontier.
+Points are :class:`~repro.dse.evaluate.EvalPoint` values.  Objectives
+are minimized, area-first: ``objectives()`` is ``(lut, ff, bram18, dsp,
+cycles)``.  Ties on the whole vector are broken by the candidate id
+(``cid``), which is what makes both the batch extractor and the
+streaming accumulator **permutation-invariant** — the frontier is a
+function of the point *set*, not of evaluation order.  That property is
+load-bearing: the parallel campaign runner completes candidates in
+nondeterministic order and still has to produce a byte-identical
+frontier.
 
 Two entry points:
 
-* :func:`pareto_front` — batch extraction (back-compatible with the
-  PR 0 two-objective helper);
+* :func:`pareto_front` — batch extraction;
 * :class:`ParetoFront` — streaming accumulator with dominated-point
   pruning: dominated incoming points never enter the frontier, and a
   new dominator evicts every kept point it beats.  Emits ``dse.point``
@@ -33,21 +32,12 @@ OBJECTIVES = ("lut", "ff", "bram18", "dsp", "cycles")
 
 def point_objectives(point) -> tuple:
     """The minimized objective vector of *point* (area-first)."""
-    fn = getattr(point, "objectives", None)
-    if callable(fn):
-        return tuple(fn())
-    return tuple(int(getattr(point, name, 0)) for name in OBJECTIVES)
+    return point.objectives()
 
 
 def point_ident(point) -> str:
     """Stable identity used to break exact objective ties."""
-    cid = getattr(point, "cid", None)
-    if cid is not None:
-        return str(cid)
-    label = getattr(point, "label", None)
-    if callable(label):
-        return str(label())
-    return repr(point)
+    return point.cid
 
 
 def dominates_vec(a: Sequence, b: Sequence) -> bool:

@@ -201,7 +201,6 @@ def actors_of(hw: tuple[str, ...] | frozenset[str]) -> tuple[str, ...]:
 def otsu_space(
     *,
     hw_sets: "list[frozenset[str]] | None" = None,
-    pipeline_mode: str = "subsets",
     dma_policies: tuple[str, ...] = DMA_POLICIES,
     hp_words: tuple[int, ...] = (2,),
     name: str = "otsu-full",
@@ -209,13 +208,12 @@ def otsu_space(
     """The coupled Otsu search space.
 
     *hw_sets* defaults to every buildable partition (including the
-    all-software solution).  *pipeline_mode* selects the directive axis:
-    ``"subsets"`` sweeps every PIPELINE subset over the instantiated
-    actors, ``"extremes"`` only none-vs-all, ``"all"`` pins every
-    pipelineable actor on.  Coupling constraints keep the product
-    honest: a PIPELINE set must address actors the partition actually
-    instantiates, and the all-software candidate is canonicalized to one
-    DMA/HP configuration (those axes do not exist without hardware).
+    all-software solution); the directive axis sweeps every PIPELINE
+    subset over the instantiated actors.  Coupling constraints keep the
+    product honest: a PIPELINE set must address actors the partition
+    actually instantiates, and the all-software candidate is
+    canonicalized to one DMA/HP configuration (those axes do not exist
+    without hardware).
     """
     from repro.apps.otsu.app import buildable_hw_sets
 
@@ -224,15 +222,7 @@ def otsu_space(
     hw_values = tuple(
         sorted((tuple(sorted(hw)) for hw in hw_sets), key=lambda h: (len(h), h))
     )
-    all_actors = tuple(sorted(PIPELINEABLE_ACTOR_OF.values()))
-    if pipeline_mode == "subsets":
-        pipe_values = _subsets(all_actors)
-    elif pipeline_mode == "extremes":
-        pipe_values = ((), all_actors)
-    elif pipeline_mode == "all":
-        pipe_values = (all_actors,)
-    else:
-        raise ReproError(f"unknown pipeline_mode {pipeline_mode!r}")
+    pipe_values = _subsets(tuple(sorted(PIPELINEABLE_ACTOR_OF.values())))
 
     def _pipelined_present(values: dict[str, object]) -> bool:
         present = set(actors_of(values["hw"]))
@@ -278,29 +268,30 @@ def otsu_directives_space(
     hw = frozenset(ARCHITECTURES[4]) if hw is None else frozenset(hw)
     return otsu_space(
         hw_sets=[hw],
-        pipeline_mode="subsets",
         dma_policies=("paired",),
         hp_words=(2,),
         name=name,
     )
 
 
-def sdsoc_baseline_candidate(
-    space_hp_words: int = 2,
+def all_pipelined_candidate(
+    hw: tuple[str, ...] | frozenset[str], *, dma: str = "paired"
 ) -> Candidate:
+    """Partition *hw* with every actor it instantiates pipelined, at the
+    default HP-port bandwidth: the point the greedy heuristic evaluates
+    per partition, and with ``dma="per-stream"`` the SDSoC baseline."""
+    hw = tuple(sorted(hw))
+    return Candidate.make(
+        {"hw": hw, "pipelined": actors_of(hw), "dma": dma, "hp_words": 2}
+    )
+
+
+def sdsoc_baseline_candidate() -> Candidate:
     """The SDSoC-policy reference point: Table-I Arch4 functions in
     hardware, every actor pipelined, one DMA per boundary stream."""
     from repro.apps.otsu.app import ARCHITECTURES
 
-    hw = tuple(sorted(ARCHITECTURES[4]))
-    return Candidate.make(
-        {
-            "hw": hw,
-            "pipelined": actors_of(hw),
-            "dma": "per-stream",
-            "hp_words": space_hp_words,
-        }
-    )
+    return all_pipelined_candidate(ARCHITECTURES[4], dma="per-stream")
 
 
 __all__ = [
@@ -311,6 +302,7 @@ __all__ = [
     "PIPELINEABLE_ACTOR_OF",
     "SearchSpace",
     "actors_of",
+    "all_pipelined_candidate",
     "otsu_directives_space",
     "otsu_space",
     "sdsoc_baseline_candidate",

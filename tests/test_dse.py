@@ -5,14 +5,36 @@ import random
 import pytest
 
 from repro.apps.otsu.app import buildable_hw_sets
-from repro.dse import DsePoint, evaluate_hw_set, explore, greedy_partition, pareto_front
+from repro.dse import (
+    CampaignConfig,
+    Candidate,
+    EvalPoint,
+    all_pipelined_candidate,
+    evaluate_candidate,
+    greedy_partition,
+    otsu_space,
+    pareto_front,
+    run_campaign,
+)
 from repro.dse.pareto import ParetoFront, dominates, dominates_vec, point_objectives
 
 
-def P(hw, lut, cycles):
-    return DsePoint(
-        hw=frozenset(hw), lut=lut, ff=0, bram18=0, dsp=0, cycles=cycles, correct=True
+def make_point(candidate, *, lut, cycles, ff=0, bram18=0, dsp=0):
+    return EvalPoint(
+        candidate=candidate, lut=lut, ff=ff, bram18=bram18, dsp=dsp,
+        cycles=cycles, correct=True, dma_cells=0, fn_cache_hits=0,
+        fn_cache_misses=0,
     )
+
+
+def P(name, lut, cycles, **objectives):
+    """A synthetic point named *name* (its candidate is ``{name: ...}``)."""
+    return make_point(Candidate.make({"name": name}), lut=lut, cycles=cycles,
+                      **objectives)
+
+
+def name_of(point):
+    return point.candidate.get("name")
 
 
 def random_cloud(seed, n, *, spread=6):
@@ -23,14 +45,13 @@ def random_cloud(seed, n, *, spread=6):
     """
     rng = random.Random(seed)
     return [
-        DsePoint(
-            hw=frozenset({f"p{i:03d}"}),
+        P(
+            f"p{i:03d}",
             lut=rng.randrange(spread),
             ff=rng.randrange(spread),
             bram18=rng.randrange(spread),
             dsp=rng.randrange(spread),
             cycles=rng.randrange(spread),
-            correct=True,
         )
         for i in range(n)
     ]
@@ -38,9 +59,9 @@ def random_cloud(seed, n, *, spread=6):
 
 class TestPareto:
     def test_dominates(self):
-        a = P({"x"}, 100, 100)
-        b = P({"y"}, 200, 200)
-        c = P({"z"}, 100, 200)
+        a = P("x", 100, 100)
+        b = P("y", 200, 200)
+        c = P("z", 100, 200)
         assert dominates(a, b)
         assert dominates(a, c)
         assert not dominates(c, a)
@@ -48,24 +69,23 @@ class TestPareto:
 
     def test_front_extraction(self):
         pts = [
-            P({"a"}, 0, 100),
-            P({"b"}, 50, 50),
-            P({"c"}, 100, 10),
-            P({"d"}, 60, 60),  # dominated by b
-            P({"e"}, 120, 10),  # dominated by c
+            P("a", 0, 100),
+            P("b", 50, 50),
+            P("c", 100, 10),
+            P("d", 60, 60),  # dominated by b
+            P("e", 120, 10),  # dominated by c
         ]
         front = pareto_front(pts)
-        labels = {p.label() for p in front}
-        assert labels == {"a", "b", "c"}
+        assert {name_of(p) for p in front} == {"a", "b", "c"}
 
     def test_front_sorted_and_deduped(self):
-        pts = [P({"a"}, 10, 5), P({"b"}, 10, 5), P({"c"}, 5, 10)]
+        pts = [P("a", 10, 5), P("b", 10, 5), P("c", 5, 10)]
         front = pareto_front(pts)
         assert [p.lut for p in front] == [5, 10]
 
     def test_dominates_all_five_objectives(self):
-        a = DsePoint(frozenset({"a"}), 1, 1, 1, 1, 1, True)
-        b = DsePoint(frozenset({"b"}), 1, 1, 2, 1, 1, True)
+        a = P("a", 1, 1, ff=1, bram18=1, dsp=1)
+        b = P("b", 1, 1, ff=1, bram18=2, dsp=1)
         assert dominates(a, b)
         assert not dominates(b, a)
         assert not dominates(a, a)
@@ -108,11 +128,12 @@ class TestParetoProperties:
                 assert pareto_front(shuffled) == base
 
     def test_duplicates_collapse_to_min_identity(self):
-        pts = [P({"zz"}, 1, 1), P({"aa"}, 1, 1), P({"mm"}, 1, 1)]
+        pts = [P("zz", 1, 1), P("aa", 1, 1), P("mm", 1, 1)]
+        min_cid = min(p.cid for p in pts)
         for order in (pts, pts[::-1], [pts[2], pts[0], pts[1]]):
             front = pareto_front(order)
             assert len(front) == 1
-            assert front[0].label() == "aa"
+            assert front[0].cid == min_cid
 
     def test_streaming_equals_batch_any_order(self):
         for seed in self.SEEDS:
@@ -128,40 +149,37 @@ class TestParetoProperties:
 
     def test_streaming_counters(self):
         stream = ParetoFront()
-        assert stream.add(P({"a"}, 10, 10))
-        assert not stream.add(P({"b"}, 11, 11))  # dominated on arrival
-        assert stream.add(P({"c"}, 5, 5))  # evicts a
+        assert stream.add(P("a", 10, 10))
+        assert not stream.add(P("b", 11, 11))  # dominated on arrival
+        assert stream.add(P("c", 5, 5))  # evicts a
         assert len(stream) == 1
         assert stream.pruned == 1
         assert stream.evicted == 1
 
     def test_streaming_tie_keeps_min_identity_both_orders(self):
+        min_cid = min(P(name, 3, 3).cid for name in ("zz", "aa"))
         for order in (("zz", "aa"), ("aa", "zz")):
             stream = ParetoFront()
             for name in order:
-                stream.add(P({name}, 3, 3))
-            assert [p.label() for p in stream.front()] == ["aa"]
+                stream.add(P(name, 3, 3))
+            assert [p.cid for p in stream.front()] == [min_cid]
 
     def test_single_and_empty_inputs(self):
         assert pareto_front([]) == []
-        only = P({"a"}, 1, 2)
+        only = P("a", 1, 2)
         assert pareto_front([only]) == [only]
-
-    def test_point_protocol_fallbacks(self):
-        class Bare:
-            lut, ff, dsp, cycles = 4, 3, 2, 1  # no bram18, no objectives()
-
-        assert point_objectives(Bare()) == (4, 3, 0, 2, 1)
 
     def test_streaming_front_emits_events_and_counters(self):
         from repro.obs.events import capture
 
         with capture() as (bus, registry):
             stream = ParetoFront()
-            stream.add(P({"a"}, 10, 10))
-            stream.add(P({"b"}, 11, 11))  # pruned as dominated
-            stream.add(P({"c"}, 5, 5))  # admitted, evicts a
-            stream.add(P({"c2"}, 5, 5))  # tie, loses to c
+            winner, loser = sorted([P("c", 5, 5), P("c2", 5, 5)],
+                                   key=lambda p: p.cid)
+            stream.add(P("a", 10, 10))
+            stream.add(P("b", 11, 11))  # pruned as dominated
+            stream.add(winner)  # admitted, evicts a
+            stream.add(loser)  # tie, loses to the smaller cid
             cats = [e.category for e in bus.events()]
             assert cats.count("dse.point") == 2
             assert cats.count("dse.prune") == 3
@@ -175,29 +193,35 @@ class TestParetoProperties:
 
 class TestEvaluate:
     def test_all_sw_point(self):
-        point = evaluate_hw_set(frozenset(), width=8, height=8)
-        assert point.lut == 0 and point.dsp == 0
+        point = evaluate_candidate(all_pipelined_candidate(()), width=8, height=8)
+        assert point.objectives()[:4] == (0, 0, 0, 0)
         assert point.correct
-        assert point.label() == "all-sw"
+        assert point.dma_cells == 0
+        assert point.candidate.get("hw") == ()
 
     def test_hw_point(self):
-        point = evaluate_hw_set(frozenset({"histogram"}), width=8, height=8)
+        point = evaluate_candidate(
+            all_pipelined_candidate({"histogram"}), width=8, height=8
+        )
         assert point.lut > 0
         assert point.correct
-        assert point.label() == "histogram"
+        assert point.dma_cells > 0
+        assert point.candidate.get("pipelined") == ("computeHistogram",)
 
     def test_explore_small_space(self):
-        candidates = [
+        partitions = [
             frozenset(),
             frozenset({"histogram"}),
             frozenset({"histogram", "otsuMethod"}),
         ]
-        points = explore(width=8, height=8, candidates=candidates)
-        assert len(points) == 3
+        points = [
+            evaluate_candidate(all_pipelined_candidate(hw), width=8, height=8)
+            for hw in partitions
+        ]
         assert all(p.correct for p in points)
         # More hardware -> more area.
-        by_label = {p.label(): p for p in points}
-        assert by_label["histogram+otsuMethod"].lut > by_label["histogram"].lut
+        luts = [p.lut for p in points]
+        assert luts[0] == 0 < luts[1] < luts[2]
 
 
 class TestGreedy:
@@ -209,11 +233,13 @@ class TestGreedy:
                       "otsuMethod": 12_000, "binarization": 18_000}
         base = 120_000
 
-        def evaluator(hw):
-            lut = sum(lut_cost[f] for f in hw)
-            cycles = base - sum(cycle_gain[f] for f in hw)
-            return DsePoint(hw=frozenset(hw), lut=lut, ff=0, bram18=0, dsp=0,
-                            cycles=cycles, correct=True)
+        def evaluator(candidate):
+            hw = candidate.get("hw")
+            return make_point(
+                candidate,
+                lut=sum(lut_cost[f] for f in hw),
+                cycles=base - sum(cycle_gain[f] for f in hw),
+            )
 
         return evaluator
 
@@ -227,7 +253,8 @@ class TestGreedy:
         traj = greedy_partition(evaluator=self.make_evaluator())
         buildable = set(buildable_hw_sets())
         for p in traj:
-            assert p.hw in buildable
+            assert frozenset(p.candidate.get("hw")) in buildable
+            assert p.candidate == all_pipelined_candidate(p.candidate.get("hw"))
 
     def test_budget_limits_growth(self):
         unlimited = greedy_partition(evaluator=self.make_evaluator())
@@ -237,14 +264,37 @@ class TestGreedy:
 
     def test_default_evaluator_routes_shared_fn_store(self, tmp_path):
         traj = greedy_partition(width=8, height=8, fn_cache_dir=str(tmp_path / "fn"))
-        assert traj[0].label() == "all-sw"
+        assert traj[0].candidate.get("hw") == ()
         assert len(traj) >= 2
         assert (tmp_path / "fn").is_dir()
 
     def test_greedy_point_not_dominated_in_synthetic_space(self):
         evaluator = self.make_evaluator()
         traj = greedy_partition(evaluator=evaluator)
-        all_points = [evaluator(hw) for hw in buildable_hw_sets()]
+        all_points = [
+            evaluator(all_pipelined_candidate(hw)) for hw in buildable_hw_sets()
+        ]
         front = pareto_front(all_points)
         final = traj[-1]
         assert not any(dominates(q, final) for q in front)
+
+
+class TestGreedyOverCampaign:
+    """The greedy walk is a walk through the paired-DMA campaign space."""
+
+    def test_own_evaluator_equals_campaign_lookup(self, tmp_path):
+        own = greedy_partition(
+            width=8, height=8, fn_cache_dir=str(tmp_path / "greedy-fn")
+        )
+        result = run_campaign(
+            CampaignConfig(
+                space=otsu_space(dma_policies=("paired",)),
+                width=8,
+                height=8,
+                fn_cache_dir=str(tmp_path / "campaign-fn"),
+            )
+        )
+        by_cid = {p.cid: p for p in result.points}
+        looked_up = greedy_partition(evaluator=lambda c: by_cid[c.cid])
+        assert len(own) >= 2
+        assert [p.record() for p in own] == [p.record() for p in looked_up]

@@ -97,8 +97,6 @@ class TestSpace:
         assert space.axis("dma").values == ("paired", "per-stream")
         with pytest.raises(ReproError):
             space.axis("nope")
-        with pytest.raises(ReproError):
-            otsu_space(pipeline_mode="bogus")
 
 
 class TestFlowConfigRouting:
@@ -339,6 +337,14 @@ class TestCampaign:
         report = result.frontier_report(baseline=baseline)
         assert report["baseline_dominated"] is True
         assert report["points_evaluated"] == len(result.points)
+
+
+class TestDseCli:
+    def test_resume_without_root_is_rejected(self, capsys):
+        from repro.cli import main
+
+        assert main(["dse", "--space", "directives", "--resume"]) == 2
+        assert "--resume needs --root" in capsys.readouterr().err
 
 
 class TestRealKillViaCli:
