@@ -9,13 +9,10 @@ while producing a cycle- and digest-identical ExecutionReport.
 import json
 import time
 
-import numpy as np
 import pytest
 from conftest import save_artifact
 
 from repro.apps.otsu import build_otsu_app
-from repro.flow import run_flow
-from repro.sim import simulate_application
 
 WIDTH = HEIGHT = 128  # largest size halfProbability's 16-bit bins allow
 
@@ -23,17 +20,11 @@ WIDTH = HEIGHT = 128  # largest size halfProbability's 16-bit bins allow
 @pytest.fixture(scope="module")
 def arch4_build():
     app = build_otsu_app(4, width=WIDTH, height=HEIGHT)
-    flow = run_flow(
-        app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-    )
-    return app, flow
+    return app, app.build()
 
 
 def _run(app, flow, mode):
-    return simulate_application(
-        app.htg, app.partition, app.behaviors, {},
-        system=flow.system, burst_mode=mode,
-    )
+    return app.simulate(flow.system, burst_mode=mode)
 
 
 def test_burst_fast_path_speedup(benchmark, arch4_build):
@@ -48,7 +39,7 @@ def test_burst_fast_path_speedup(benchmark, arch4_build):
 
     assert word.cycles == burst.cycles
     assert word.digest() == burst.digest()
-    assert np.array_equal(burst.of("binImage"), np.asarray(app.golden["binary"]))
+    assert app.matches(burst)
     assert burst.burst_stats["burst_phases"] >= 1
 
     speedup = word_seconds / burst_seconds
@@ -97,10 +88,7 @@ def test_prefix_burst_on_faulted_phase(arch4_build):
     )
 
     def _run_faulted(mode):
-        return simulate_application(
-            app.htg, app.partition, app.behaviors, {},
-            system=flow.system, burst_mode=mode, faults=plan,
-        )
+        return app.simulate(flow.system, burst_mode=mode, faults=plan)
 
     word = _run_faulted(False)
     burst = _run_faulted(True)
@@ -137,9 +125,7 @@ def test_word_fallback_reason_for_contended_port(arch4_build):
     other sizes the histogram output is bulk, the grant schedule is
     order-independent, and the phase fast-paths instead."""
     app = build_otsu_app(1, width=16, height=16)
-    flow = run_flow(
-        app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-    )
+    flow = app.build()
     word = _run(app, flow, False)
     burst = _run(app, flow, True)
     assert burst.burst_stats["burst_phases"] == 0

@@ -16,9 +16,7 @@ import time
 from pathlib import Path
 
 from repro.apps.otsu import build_otsu_app
-from repro.flow import run_flow
 from repro.obs import capture
-from repro.sim import simulate_application
 
 ARCH = 4
 WIDTH = HEIGHT = 64
@@ -27,17 +25,12 @@ LIMIT_PCT = 5.0
 
 
 def _simulate(app, flow, *, burst=False):
-    return simulate_application(
-        app.htg, app.partition, app.behaviors, {},
-        system=flow.system, burst_mode=burst,
-    )
+    return app.simulate(flow.system, burst_mode=burst)
 
 
 def main() -> int:
     app = build_otsu_app(ARCH, width=WIDTH, height=HEIGHT)
-    flow = run_flow(
-        app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-    )
+    flow = app.build()
 
     _simulate(app, flow)  # warm-up: imports, caches, allocator
 
@@ -85,10 +78,7 @@ def main() -> int:
     if bench.exists():
         recorded = json.loads(bench.read_text())
         app_big = build_otsu_app(4, width=128, height=128)
-        flow_big = run_flow(
-            app_big.dsl_graph(), app_big.c_sources,
-            extra_directives=app_big.extra_directives,
-        )
+        flow_big = app_big.build()
         with capture():
             report = _simulate(app_big, flow_big, burst=True)
         if report.digest() != recorded["digest"]:

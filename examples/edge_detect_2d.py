@@ -12,18 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Behavior, HTG, Partition, Phase, Task, run_flow, simulate_application
-from repro.apps.filters2d import (
-    gauss2d_reference,
-    gauss2d_src,
-    sobel2d_reference,
-    sobel2d_src,
-)
-from repro.apps.image import pack_rgb, synthetic_scene, write_pgm
-from repro.apps.otsu.golden import golden_grayscale
-from repro.dsl import emit_dsl, graph_from_htg
+from repro.apps.filters2d import build_edge2d_app, edge2d_input, gauss2d_reference
+from repro.apps.image import write_pgm
+from repro.dsl import emit_dsl
 from repro.hls.project import verify_stream_discipline
-from repro.htg.model import Actor, StreamChannel
 
 W, H = 48, 48
 OUT = Path(__file__).parent / "out" / "edge2d"
@@ -31,40 +23,11 @@ OUT = Path(__file__).parent / "out" / "edge2d"
 
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    scene = synthetic_scene(W, H)
-    gray = golden_grayscale(pack_rgb(scene)).reshape(H, W)
+    app = build_edge2d_app(W, H)
+    gray = edge2d_input(W, H)
 
-    sources = {
-        "GAUSS2D": gauss2d_src(W, H),
-        "SOBEL2D": sobel2d_src(W, H),
-    }
-    phase = Phase(
-        name="vision",
-        actors=[
-            Actor("GAUSS2D", stream_inputs=("in",), stream_outputs=("out",),
-                  c_source=sources["GAUSS2D"]),
-            Actor("SOBEL2D", stream_inputs=("in",), stream_outputs=("out",),
-                  c_source=sources["SOBEL2D"]),
-        ],
-        channels=[
-            StreamChannel(Phase.BOUNDARY, "gray", "GAUSS2D", "in"),
-            StreamChannel("GAUSS2D", "out", "SOBEL2D", "in"),
-            StreamChannel("SOBEL2D", "out", Phase.BOUNDARY, "edges"),
-        ],
-        inputs=("gray",),
-        outputs=("edges",),
-    )
-    htg = HTG("edgeApp")
-    htg.add(Task("load", outputs=("gray",), io=True, sw_cycles=W * H * 4))
-    htg.add(phase)
-    htg.add(Task("store", inputs=("edges",), io=True, sw_cycles=W * H * 4))
-    htg.add_edge("load", "vision")
-    htg.add_edge("vision", "store")
-    partition = Partition.from_hw_set(htg, {"vision"})
-
-    graph = graph_from_htg(htg, partition)
-    print(emit_dsl(graph))
-    flow = run_flow(graph, sources)
+    print(emit_dsl(app.dsl_graph()))
+    flow = app.build()
     print(flow.design.summary())
     for name, build in flow.cores.items():
         r = build.result.resources
@@ -73,31 +36,18 @@ def main() -> None:
 
     # The axis interfaces really are accessed sequentially.
     for name, build in flow.cores.items():
-        buf_in = np.zeros(W * H, dtype=np.int32)
+        buf_in = gray.reshape(-1).astype(np.int32)
         buf_out = np.zeros(W * H, dtype=np.int32)
-        buf_in[:] = gray.reshape(-1)
         verify_stream_discipline(build.result, buf_in, buf_out)
     print("stream discipline: OK for both cores")
 
-    behaviors = {
-        "load": Behavior(lambda: gray.reshape(-1).astype(np.int32)),
-        "store": Behavior(lambda e: None),
-        "vision.GAUSS2D": Behavior(
-            lambda a: gauss2d_reference(a.reshape(H, W)).reshape(-1)
-        ),
-        "vision.SOBEL2D": Behavior(
-            lambda a: sobel2d_reference(a.reshape(H, W)).reshape(-1)
-        ),
-    }
-    report = simulate_application(htg, partition, behaviors, {}, system=flow.system)
-    edges = report.of("edges").reshape(H, W)
-    expected = sobel2d_reference(gauss2d_reference(gray))
-    assert np.array_equal(edges, expected)
+    report = app.simulate(flow.system)
+    assert app.matches(report)
     print(f"simulated {report.cycles} cycles; edges bit-exact")
 
     write_pgm(OUT / "gray.pgm", gray.astype(np.uint8))
     write_pgm(OUT / "blurred.pgm", gauss2d_reference(gray).astype(np.uint8))
-    write_pgm(OUT / "edges.pgm", edges.astype(np.uint8))
+    write_pgm(OUT / "edges.pgm", report.of("edges").reshape(H, W).astype(np.uint8))
     print(f"images in {OUT}/")
 
 

@@ -11,8 +11,6 @@ Run:  python examples/otsu_casestudy.py
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.apps.image import write_pgm
 from repro.report import (
     build_all_architectures,
@@ -23,7 +21,6 @@ from repro.report import (
     regenerate_table1,
     regenerate_table2,
 )
-from repro.sim import simulate_application
 
 OUT = Path(__file__).parent / "out" / "otsu"
 
@@ -53,16 +50,8 @@ def main() -> None:
 
     print("=== simulated execution on the generated systems ===")
     for arch, build in sorted(builds.items()):
-        report = simulate_application(
-            build.app.htg,
-            build.app.partition,
-            build.app.behaviors,
-            {},
-            system=build.flow.system,
-        )
-        ok = np.array_equal(
-            report.of("binImage"), np.asarray(build.app.golden["binary"])
-        )
+        report = build.app.simulate(build.flow.system)
+        ok = build.app.matches(report)
         ms = report.seconds * 1e3
         print(
             f"  Arch{arch}: {report.cycles:>8} cycles ({ms:6.2f} ms @100MHz)  "

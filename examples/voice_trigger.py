@@ -12,28 +12,18 @@ Run:  python examples/voice_trigger.py
 
 import numpy as np
 
-from repro import run_flow, simulate_application
-from repro.apps.audio import build_audio_app, synthetic_audio
-from repro.dsl import emit_dsl, graph_from_htg
-from repro.hls.interfaces import pipeline
+from repro.apps.audio import build_audio_app
+from repro.dsl import emit_dsl
 
 N, FRAME = 2048, 64
 
 
 def main() -> None:
-    htg, partition, behaviors, sources, expected_hits = build_audio_app(
-        n=N, frame=FRAME
-    )
-    graph = graph_from_htg(htg, partition)
+    app = build_audio_app(n=N, frame=FRAME)
     print("=== DSL description ===")
-    print(emit_dsl(graph))
+    print(emit_dsl(app.dsl_graph()))
 
-    directives = {
-        "preemph": [pipeline("preemph", "i")],
-        "energy": [pipeline("energy", "i")],
-        "detect": [],
-    }
-    flow = run_flow(graph, sources, extra_directives=directives)
+    flow = app.build()
     print("=== generated system ===")
     print(" ", flow.design.summary())
     for name, build in flow.cores.items():
@@ -41,11 +31,10 @@ def main() -> None:
         print(f"  {name:<9} LUT={r.lut:<5} FF={r.ff:<5} DSP={r.dsp} "
               f"latency={build.result.latency.cycles}")
 
-    report = simulate_application(htg, partition, behaviors, {}, system=flow.system)
-    hits = report.of("hits")
-    assert np.array_equal(hits, expected_hits)
+    report = app.simulate(flow.system)
+    assert app.matches(report)
 
-    frames_hit = np.flatnonzero(hits)
+    frames_hit = np.flatnonzero(report.of("hits"))
     print(f"\n=== simulated detection over {N} samples "
           f"({N // FRAME} frames) ===")
     print(f"  voiced frames: {frames_hit.tolist()}")

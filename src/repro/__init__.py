@@ -10,13 +10,15 @@ four Table-I architectures, and a DSE extension.
 
 Quick start::
 
-    from repro import run_flow, build_otsu_app, simulate_application
+    from repro import build_otsu_app
 
-    app = build_otsu_app(4)                       # Table I, Arch4
-    flow = run_flow(app.dsl_graph(), app.c_sources,
-                    extra_directives=app.extra_directives)
-    report = simulate_application(app.htg, app.partition,
-                                  app.behaviors, {}, system=flow.system)
+    app = build_otsu_app(4)            # Table I, Arch4: an Application
+    flow = app.build()                 # DSL -> HLS -> integrate -> tcl -> sw
+    report = app.simulate(flow.system) # the generated system, simulated
+    assert app.matches(report)         # bit-exact against the golden model
+
+Every app (``repro.apps``: Otsu, the voice trigger, the 2-D edge
+detector) is the same :class:`~repro.apps.Application` record.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured numbers.

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.application import Application
+from repro.hls.interfaces import pipeline
 from repro.htg.model import HTG, Actor, Phase, StreamChannel, Task
 from repro.htg.partition import Partition
 from repro.sim.runtime import Behavior
@@ -115,13 +117,9 @@ def synthetic_audio(n: int, *, seed: int = 7, keyword_at: float = 0.6) -> np.nda
     return np.clip(x, -32768, 32767).astype(np.int32)
 
 
-def build_audio_app(
-    *, n: int = 1024, frame: int = 64, hw: bool = True, seed: int = 7
-):
-    """The keyword-detector application: HTG, partition, behaviours, sources.
-
-    Returns ``(htg, partition, behaviors, c_sources, expected_hits)``.
-    """
+def build_audio_app(*, n: int = 1024, frame: int = 64, seed: int = 7) -> Application:
+    """The keyword detector in hardware, its output checked against the
+    NumPy references (``expected["hits"]``)."""
     if n % frame != 0:
         raise ReproError("sample count must be a multiple of the frame size")
     nframes = n // frame
@@ -162,11 +160,6 @@ def build_audio_app(
     htg.add_edge("mic", "voiceTrigger")
     htg.add_edge("voiceTrigger", "wake")
 
-    partition = (
-        Partition.from_hw_set(htg, {"voiceTrigger"})
-        if hw
-        else Partition.all_software(htg)
-    )
     behaviors = {
         "mic": Behavior(lambda: samples),
         "wake": Behavior(lambda h: None),
@@ -174,4 +167,14 @@ def build_audio_app(
         "voiceTrigger.energy": Behavior(lambda y: energy_reference(y, frame)),
         "voiceTrigger.detect": Behavior(detect_reference),
     }
-    return htg, partition, behaviors, sources, hits_ref
+    return Application(
+        htg=htg,
+        partition=Partition.from_hw_set(htg, {"voiceTrigger"}),
+        behaviors=behaviors,
+        c_sources=sources,
+        extra_directives={
+            "preemph": [pipeline("preemph", "i")],
+            "energy": [pipeline("energy", "i")],
+        },
+        expected={"hits": hits_ref},
+    )

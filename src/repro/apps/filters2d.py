@@ -10,11 +10,20 @@ that satisfies the AXI-Stream access discipline
 
 GAUSS is the 3×3 binomial kernel [[1,2,1],[2,4,2],[1,2,1]]/16; SOBEL is
 gradient magnitude (|Gx|+|Gy|) with thresholding.
+:func:`build_edge2d_app` chains them (GAUSS2D → SOBEL2D) into one
+streaming hardware phase over the gray synthetic scene.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.apps.application import Application
+from repro.apps.image import pack_rgb, synthetic_scene
+from repro.apps.otsu.golden import golden_grayscale
+from repro.htg.model import HTG, Actor, Phase, StreamChannel, Task
+from repro.htg.partition import Partition
+from repro.sim.runtime import Behavior
 
 
 def gauss2d_src(width: int, height: int) -> str:
@@ -107,3 +116,63 @@ def sobel2d_reference(img: np.ndarray, threshold: int = 96) -> np.ndarray:
     gy = sh(1, -1) + 2 * sh(1, 0) + sh(1, 1) - sh(-1, -1) - 2 * sh(-1, 0) - sh(-1, 1)
     mag = np.abs(gx) + np.abs(gy)
     return np.where(mag > threshold, 255, 0).astype(np.int32)
+
+
+def edge2d_input(width: int, height: int) -> np.ndarray:
+    """The (H, W) gray synthetic scene the edge app filters."""
+    return golden_grayscale(pack_rgb(synthetic_scene(width, height))).reshape(
+        height, width
+    )
+
+
+def build_edge2d_app(width: int, height: int) -> Application:
+    """GAUSS2D → SOBEL2D as one hardware phase between a software
+    ``load`` and ``store``; ``expected["edges"]`` is the NumPy chain."""
+    gray = edge2d_input(width, height)
+    sources = {
+        "GAUSS2D": gauss2d_src(width, height),
+        "SOBEL2D": sobel2d_src(width, height),
+    }
+    phase = Phase(
+        name="vision",
+        actors=[
+            Actor("GAUSS2D", stream_inputs=("in",), stream_outputs=("out",),
+                  c_source=sources["GAUSS2D"]),
+            Actor("SOBEL2D", stream_inputs=("in",), stream_outputs=("out",),
+                  c_source=sources["SOBEL2D"]),
+        ],
+        channels=[
+            StreamChannel(Phase.BOUNDARY, "gray", "GAUSS2D", "in"),
+            StreamChannel("GAUSS2D", "out", "SOBEL2D", "in"),
+            StreamChannel("SOBEL2D", "out", Phase.BOUNDARY, "edges"),
+        ],
+        inputs=("gray",),
+        outputs=("edges",),
+    )
+    npix = width * height
+    htg = HTG("edgeApp")
+    htg.add(Task("load", outputs=("gray",), io=True, sw_cycles=npix * 4))
+    htg.add(phase)
+    htg.add(Task("store", inputs=("edges",), io=True, sw_cycles=npix * 4))
+    htg.add_edge("load", "vision")
+    htg.add_edge("vision", "store")
+
+    def frame(filt):
+        return lambda a: filt(a.reshape(height, width)).reshape(-1)
+
+    behaviors = {
+        "load": Behavior(lambda: gray.reshape(-1).astype(np.int32)),
+        "store": Behavior(lambda e: None),
+        "vision.GAUSS2D": Behavior(frame(gauss2d_reference)),
+        "vision.SOBEL2D": Behavior(frame(sobel2d_reference)),
+    }
+    return Application(
+        htg=htg,
+        partition=Partition.from_hw_set(htg, {"vision"}),
+        behaviors=behaviors,
+        c_sources=sources,
+        extra_directives={},
+        expected={
+            "edges": sobel2d_reference(gauss2d_reference(gray)).reshape(-1)
+        },
+    )

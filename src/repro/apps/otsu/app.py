@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.apps.application import Application
 from repro.apps.image import pack_rgb, synthetic_scene
 from repro.apps.otsu import csrc
 from repro.apps.otsu.golden import (
@@ -28,8 +29,6 @@ from repro.apps.otsu.golden import (
     golden_otsu_threshold,
     golden_pipeline,
 )
-from repro.dsl.ast import TgGraph
-from repro.dsl.from_htg import graph_from_htg
 from repro.hls.interfaces import Directive, allocation, pipeline
 from repro.htg.model import HTG, Actor, Phase, StreamChannel, Task
 from repro.htg.partition import Partition
@@ -74,18 +73,13 @@ _CONSUMES = {
 
 
 @dataclass
-class OtsuApplication:
-    """One Table-I architecture, ready to synthesize and simulate."""
+class OtsuApplication(Application):
+    """One Otsu solution: a Table-I architecture or a DSE hardware set."""
 
     arch: int
     width: int
     height: int
-    htg: HTG
-    partition: Partition
     phase_name: str | None
-    c_sources: dict[str, str]
-    behaviors: dict[str, Behavior]
-    extra_directives: dict[str, list[Directive]]
     packed_scene: np.ndarray
     golden: dict[str, np.ndarray | int] = field(default_factory=dict)
 
@@ -96,10 +90,6 @@ class OtsuApplication:
     @property
     def hw_functions(self) -> frozenset[str]:
         return ARCHITECTURES[self.arch]
-
-    def dsl_graph(self) -> TgGraph:
-        """The DSL description of this architecture (paper Listing 4 style)."""
-        return graph_from_htg(self.htg, self.partition, name=f"otsuArch{self.arch}")
 
 
 def _actor_of(func: str) -> str:
@@ -431,6 +421,7 @@ def build_otsu_custom(
         extra_directives={
             k: v for k, v in extra_directives.items() if k in c_sources
         },
+        expected={"binImage": golden["binary"]},
         packed_scene=packed,
         golden=golden,
     )

@@ -16,6 +16,8 @@ only.
 
 from __future__ import annotations
 
+from repro.util.errors import AppConfigError
+
 #: Fixed-point ITU-R BT.601 luma coefficients (x/256).
 LUMA_R, LUMA_G, LUMA_B = 77, 150, 29
 
@@ -79,7 +81,7 @@ def half_probability_src(npix: int) -> str:
     255x257, or larger non-degenerate ones).
     """
     if npix >= 1 << 16:
-        raise ValueError(
+        raise AppConfigError(
             "halfProbability's 16-bit histogram copy supports < 65536 pixels"
         )
     return f"""

@@ -68,9 +68,45 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro.util.errors import ReproError
+
+
+def _size(text: str) -> tuple[int, int]:
+    """``--size`` as ``WxH`` (or ``N`` for N×N): positive ints, else a
+    usage error."""
+    width, _, height = text.partition("x")
+    try:
+        size = int(width), int(height or width)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WxH or N, got {text!r}") from None
+    if min(size) <= 0:
+        raise argparse.ArgumentTypeError(f"sizes must be positive, got {text!r}")
+    return size
+
+
+@contextmanager
+def _work_root(root: str | None, prefix: str) -> Iterator[Path]:
+    """``--root`` (created if missing), or a temp dir removed on exit."""
+    if root:
+        path = Path(root)
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    else:
+        with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+            yield Path(tmp)
+
+
+def _write_digest(dest: str | None, digest: str, *, quiet: bool = False) -> None:
+    """Write ``--digest-out`` (one line), announcing it unless *quiet*."""
+    if dest:
+        Path(dest).write_text(digest + "\n")
+        if not quiet:
+            print(f"  digest written to {dest}")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -209,19 +245,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.apps.otsu import build_otsu_app
-    from repro.flow import run_flow
     from repro.obs import capture, sim_totals_digest
-    from repro.sim import simulate_application
 
-    width, _, height = args.size.partition("x")
-    app = build_otsu_app(args.arch, width=int(width), height=int(height or width))
+    width, height = args.size
+    app = build_otsu_app(args.arch, width=width, height=height)
     with capture() as (bus, registry):
-        flow = run_flow(
-            app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-        )
-        simulate_application(
-            app.htg, app.partition, app.behaviors, {}, system=flow.system
-        )
+        app.simulate(app.build().system)
     if args.json:
         print(registry.to_json(), end="")
     else:
@@ -259,8 +288,6 @@ def _cmd_otsu(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.apps.otsu import build_otsu_app
-    from repro.flow import run_flow
-    from repro.sim import simulate_application
 
     rgb = None
     if args.image:
@@ -273,21 +300,15 @@ def _cmd_otsu(args: argparse.Namespace) -> int:
             gray = read_pgm(path)
             rgb = np.stack([gray, gray, gray], axis=-1)
         print(f"binarizing {path} ({rgb.shape[1]}x{rgb.shape[0]})")
-    width, _, height = args.size.partition("x")
-    app = build_otsu_app(
-        args.arch, width=int(width), height=int(height or width), rgb=rgb
-    )
-    flow = run_flow(
-        app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-    )
+    width, height = args.size
+    app = build_otsu_app(args.arch, width=width, height=height, rgb=rgb)
+    flow = app.build()
     r = flow.bitstream.utilization
     print(
         f"Arch{args.arch}: LUT={r.lut} FF={r.ff} RAMB18={r.bram18} DSP={r.dsp}"
     )
-    report = simulate_application(
-        app.htg, app.partition, app.behaviors, {}, system=flow.system
-    )
-    ok = np.array_equal(report.of("binImage"), np.asarray(app.golden["binary"]))
+    report = app.simulate(flow.system)
+    ok = app.matches(report)
     print(
         f"simulated: {report.cycles} cycles ({report.seconds * 1e3:.2f} ms "
         f"@100MHz), output {'bit-exact' if ok else 'WRONG'}, "
@@ -337,40 +358,29 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
     import json
     import time
 
-    import numpy as np
-
     from repro.apps.otsu import build_otsu_app
-    from repro.flow import run_flow
-    from repro.sim import Fault, FaultPlan, simulate_application
+    from repro.sim import Fault, FaultPlan
 
     arches = [int(a) for a in args.arches.split(",")]
-    width, _, height = args.size.partition("x")
-    width, height = int(width), int(height or width)
+    width, height = args.size
     print(f"simbench: arch {arches} at {width}x{height}")
     rows: list[dict] = []
     failures = 0
     for arch in arches:
         app = build_otsu_app(arch, width=width, height=height)
-        flow = run_flow(
-            app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-        )
+        flow = app.build()
         timings: dict[str, float] = {}
         reports = {}
         for label, mode in (("word", False), ("burst", True)):
             t0 = time.perf_counter()
             for _ in range(args.runs):
-                reports[label] = simulate_application(
-                    app.htg, app.partition, app.behaviors, {},
-                    system=flow.system, burst_mode=mode,
-                )
+                reports[label] = app.simulate(flow.system, burst_mode=mode)
             timings[label] = (time.perf_counter() - t0) / args.runs
         word, burst = reports["word"], reports["burst"]
         identical = (
             word.cycles == burst.cycles
             and word.digest() == burst.digest()
-            and np.array_equal(
-                burst.of("binImage"), np.asarray(app.golden["binary"])
-            )
+            and app.matches(burst)
         )
         stats = burst.burst_stats
         fast = stats["burst_phases"] + stats["prefix_phases"] > 0
@@ -417,9 +427,8 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
             )
             f_reports = {}
             for label, mode in (("word", False), ("burst", True)):
-                f_reports[label] = simulate_application(
-                    app.htg, app.partition, app.behaviors, {},
-                    system=flow.system, burst_mode=mode, faults=plan,
+                f_reports[label] = app.simulate(
+                    flow.system, burst_mode=mode, faults=plan
                 )
             f_word, f_burst = f_reports["word"], f_reports["burst"]
             f_stats = f_burst.burst_stats
@@ -502,27 +511,16 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
 
 
 def _cmd_faultcheck(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.apps.otsu import build_otsu_app
-    from repro.flow import run_flow
-    from repro.sim import (
-        FaultPlan,
-        RecoveryPolicy,
-        campaign_digest,
-        simulate_application,
-    )
+    from repro.sim import FaultPlan, RecoveryPolicy, campaign_digest
 
     arches = [int(a) for a in args.arches.split(",")]
-    width, _, height = args.size.partition("x")
+    width, height = args.size
     policy = RecoveryPolicy(node_budget=args.budget)
     builds = {}
     for arch in arches:
-        app = build_otsu_app(arch, width=int(width), height=int(height or width))
-        flow = run_flow(
-            app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
-        )
-        builds[arch] = (app, flow)
+        app = build_otsu_app(arch, width=width, height=height)
+        builds[arch] = (app, app.build())
     print(
         f"faultcheck: {args.scenarios} scenarios over arch {arches} "
         f"(seed {args.seed}, watchdog {args.budget} cycles)"
@@ -546,17 +544,12 @@ def _cmd_faultcheck(args: argparse.Namespace) -> int:
             "plan_digest": plan.digest(),
         }
         try:
-            report = simulate_application(
-                app.htg, app.partition, app.behaviors, {},
-                system=flow.system, faults=plan, policy=policy,
-            )
+            report = app.simulate(flow.system, faults=plan, policy=policy)
         except ReproError as exc:
             outcome = "diagnosed"
             record.update(error=type(exc).__name__, cycles=None, detail=str(exc))
         else:
-            correct = np.array_equal(
-                report.of("binImage"), np.asarray(app.golden["binary"])
-            )
+            correct = app.matches(report)
             fired = len(report.fault_events)
             record.update(
                 cycles=report.cycles,
@@ -580,9 +573,7 @@ def _cmd_faultcheck(args: argparse.Namespace) -> int:
         + " ".join(f"{name}={n}" for name, n in counts.items())
     )
     print(f"  campaign digest: {digest}")
-    if args.digest_out:
-        Path(args.digest_out).write_text(digest + "\n")
-        print(f"  digest written to {args.digest_out}")
+    _write_digest(args.digest_out, digest)
     if counts["escaped"]:
         print(
             f"error: {counts['escaped']} scenario(s) escaped — corrupted "
@@ -679,7 +670,6 @@ def _cmd_cachecheck(args: argparse.Namespace) -> int:
 
 def _cmd_crashcheck(args: argparse.Namespace) -> int:
     import json
-    import tempfile
     import warnings
 
     from repro.apps.otsu import build_otsu_app
@@ -689,39 +679,30 @@ def _cmd_crashcheck(args: argparse.Namespace) -> int:
         RunJournal,
         all_sites,
         materialize,
-        resume_flow,
-        run_flow,
     )
     from repro.flow.crashpoints import CrashPlan, armed
     from repro.sim import campaign_digest
     from repro.util.errors import FlowInterrupted
 
     arches = [int(a) for a in args.arches.split(",")]
-    width, _, height = args.size.partition("x")
-    w, h = int(width), int(height or width)
+    w, h = args.size
 
     def _artifact_digest(out: Path) -> str:
         return json.loads((out / "MANIFEST.json").read_text())["artifact_digest"]
 
     records: list[dict] = []
     failures = 0
-    with tempfile.TemporaryDirectory(prefix="repro-crashcheck-") as tmpname:
-        tmp = Path(tmpname)
+    with _work_root(None, "repro-crashcheck-") as tmp:
         for arch in arches:
             app = build_otsu_app(arch, width=w, height=h)
-            graph = app.dsl_graph()
 
             # The uninterrupted reference run for this architecture.
             ref_dir = tmp / f"arch{arch}-ref"
             ref_config = FlowConfig(cache_dir=str(ref_dir / "cache"))
-            ref = run_flow(
-                graph, app.c_sources,
-                extra_directives=app.extra_directives, config=ref_config,
-            )
-            materialize(ref, ref_dir / "out")
+            materialize(app.build(config=ref_config), ref_dir / "out")
             ref_digest = _artifact_digest(ref_dir / "out")
 
-            sites = all_sites([n.name for n in graph.nodes])
+            sites = all_sites([n.name for n in app.dsl_graph().nodes])
             print(
                 f"arch{arch}: reference artifact {ref_digest[:16]}..., "
                 f"killing at {len(sites)} journal boundaries"
@@ -733,19 +714,11 @@ def _cmd_crashcheck(args: argparse.Namespace) -> int:
                 outcome = "completed"  # a site may not fire (e.g. swap on a fresh tree)
                 try:
                     with armed(CrashPlan(site)):
-                        flow = run_flow(
-                            graph, app.c_sources,
-                            extra_directives=app.extra_directives,
-                            config=config, journal=journal,
-                        )
+                        flow = app.build(config=config, journal=journal)
                         materialize(flow, wd / "out", journal=journal)
                 except FlowInterrupted:
                     outcome = "interrupted"
-                resumed = resume_flow(
-                    graph, app.c_sources,
-                    extra_directives=app.extra_directives,
-                    config=config, journal=journal,
-                )
+                resumed = app.build(config=config, journal=journal)
                 materialize(resumed, wd / "out", journal=journal)
                 journal.close()
                 match = _artifact_digest(wd / "out") == ref_digest
@@ -776,11 +749,7 @@ def _cmd_crashcheck(args: argparse.Namespace) -> int:
             entry.write_bytes(raw[: len(raw) // 2])
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                reflow = run_flow(
-                    graph, app.c_sources,
-                    extra_directives=app.extra_directives, config=ref_config,
-                )
-                materialize(reflow, ref_dir / "out2")
+                materialize(app.build(config=ref_config), ref_dir / "out2")
             warned = any(
                 issubclass(wmsg.category, CacheIntegrityWarning) for wmsg in caught
             )
@@ -806,9 +775,7 @@ def _cmd_crashcheck(args: argparse.Namespace) -> int:
     digest = campaign_digest(records)
     print(f"crashcheck: {len(records)} scenario(s), {failures} failure(s)")
     print(f"  campaign digest: {digest}")
-    if args.digest_out:
-        Path(args.digest_out).write_text(digest + "\n")
-        print(f"  digest written to {args.digest_out}")
+    _write_digest(args.digest_out, digest)
     if failures:
         print(
             f"error: {failures} scenario(s) did not reproduce the "
@@ -985,18 +952,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_servicecheck(args: argparse.Namespace) -> int:
     import json as _json
-    import tempfile
-    from contextlib import nullcontext
 
     from repro.service import run_servicecheck
     from repro.service.chaos import run_replicacheck, service_sites
 
-    holder = (
-        nullcontext(args.root)
-        if args.root
-        else tempfile.TemporaryDirectory(prefix="repro-servicecheck-")
-    )
-    with holder as root:
+    with _work_root(args.root, "repro-servicecheck-") as root:
         if args.replicas > 1:
             sites = service_sites()
             if args.max_sites is not None:
@@ -1011,9 +971,7 @@ def _cmd_servicecheck(args: argparse.Namespace) -> int:
         else:
             report = run_servicecheck(root, log=print)
     print(report.render())
-    if args.digest_out:
-        Path(args.digest_out).write_text(report.digest + "\n")
-        print(f"  digest written to {args.digest_out}")
+    _write_digest(args.digest_out, report.digest)
     if args.replicas > 1 and args.lease_report:
         Path(args.lease_report).write_text(
             _json.dumps(report.lease_report(), indent=2, sort_keys=True) + "\n"
@@ -1052,10 +1010,6 @@ def _dse_space(name: str):
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    import json as _json
-    import tempfile
-    from contextlib import nullcontext
-
     from repro.dse import (
         CampaignConfig,
         frontier_dominates,
@@ -1065,17 +1019,9 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
     if args.resume and not args.root:
         raise ReproError("--resume needs --root: the journal lives there")
-    width, _, height = args.size.partition("x")
-    width, height = int(width), int(height or width)
+    width, height = args.size
     space = _dse_space(args.space)
-    holder = (
-        nullcontext(args.root)
-        if args.root
-        else tempfile.TemporaryDirectory(prefix="repro-dse-")
-    )
-    with holder as root:
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
+    with _work_root(args.root, "repro-dse-") as root:
         config = CampaignConfig(
             space=space,
             width=width,
@@ -1123,8 +1069,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             Path(args.out).write_text(report_json)
             if not args.json:
                 print(f"  frontier report written to {args.out}")
-        if args.digest_out:
-            Path(args.digest_out).write_text(result.digest + "\n")
+        _write_digest(args.digest_out, result.digest, quiet=args.json)
     if args.baseline and baseline is not None:
         return 0 if frontier_dominates(result.front, baseline) else 1
     return 0
@@ -1132,8 +1077,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
 def _cmd_dsecheck(args: argparse.Namespace) -> int:
     import json as _json
-    import tempfile
-    from contextlib import nullcontext
 
     from repro.dse import (
         CampaignConfig,
@@ -1144,8 +1087,7 @@ def _cmd_dsecheck(args: argparse.Namespace) -> int:
         sdsoc_baseline_point,
     )
 
-    width, _, height = args.size.partition("x")
-    width, height = int(width), int(height or width)
+    width, height = args.size
     space = otsu_space()
     n = len(space)
     failures: list[str] = []
@@ -1155,14 +1097,7 @@ def _cmd_dsecheck(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(name)
 
-    holder = (
-        nullcontext(args.root)
-        if args.root
-        else tempfile.TemporaryDirectory(prefix="repro-dsecheck-")
-    )
-    with holder as root:
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
+    with _work_root(args.root, "repro-dsecheck-") as root:
         fn_dir = str(root / "fn")
         print(f"dsecheck: space {space.name!r}, {n} candidates at {width}x{height}")
 
@@ -1267,8 +1202,7 @@ def _cmd_dsecheck(args: argparse.Namespace) -> int:
             _json.dumps(bench, indent=2, sort_keys=True) + "\n"
         )
         print(f"  reports in {out_dir}/ (FRONTIER_report.json, BENCH_dse.json)")
-        if args.digest_out:
-            Path(args.digest_out).write_text(r1.digest + "\n")
+        _write_digest(args.digest_out, r1.digest)
     if failures:
         print(f"error: {len(failures)} leg(s) failed: {failures}", file=sys.stderr)
         return 1
@@ -1384,7 +1318,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="build + simulate one Table-I architecture, print its metrics",
     )
     p_metrics.add_argument("--arch", type=int, default=4, choices=[1, 2, 3, 4])
-    p_metrics.add_argument("--size", default="32x32", help="synthetic image size")
+    p_metrics.add_argument(
+        "--size", type=_size, default="32x32", help="synthetic image size"
+    )
     p_metrics.add_argument(
         "--json", action="store_true", help="print JSON instead of Prometheus text"
     )
@@ -1407,7 +1343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_otsu = sub.add_parser("otsu", help="build + simulate a Table-I architecture")
     p_otsu.add_argument("--arch", type=int, default=4, choices=[1, 2, 3, 4])
-    p_otsu.add_argument("--size", default="64x64", help="synthetic image size, e.g. 64x64")
+    p_otsu.add_argument(
+        "--size", type=_size, default="64x64", help="synthetic image size, e.g. 64x64"
+    )
     p_otsu.add_argument(
         "--image", default=None, help="binarize a real .ppm/.pgm instead"
     )
@@ -1422,7 +1360,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark the burst fast path against the word-level simulator",
     )
     p_sb.add_argument("--arches", default="1,2,3,4", help="comma-separated list")
-    p_sb.add_argument("--size", default="64x64", help="image size, e.g. 128x128")
+    p_sb.add_argument(
+        "--size", type=_size, default="64x64", help="image size, e.g. 128x128"
+    )
     p_sb.add_argument("--runs", type=int, default=1, help="timing repetitions")
     p_sb.add_argument("--json", default=None, help="write results as JSON here")
     p_sb.add_argument(
@@ -1448,7 +1388,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fc.add_argument("--scenarios", type=int, default=20)
     p_fc.add_argument("--seed", type=int, default=1)
-    p_fc.add_argument("--size", default="32x32", help="synthetic image size")
+    p_fc.add_argument(
+        "--size", type=_size, default="32x32", help="synthetic image size"
+    )
     p_fc.add_argument(
         "--max-faults", type=int, default=2, help="faults per scenario plan"
     )
@@ -1619,7 +1561,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="search space: the full coupled space or the directives-only "
         "slice over the pinned Table-I partition",
     )
-    p_dse.add_argument("--size", default="16x16", help="synthetic image size")
+    p_dse.add_argument(
+        "--size", type=_size, default="16x16", help="synthetic image size"
+    )
     p_dse.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (results are identical at any level)",
@@ -1656,7 +1600,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and parallelism, kill+resume equals uninterrupted, frontier "
         "dominates the SDSoC baseline, directives sweep hits the fn-cache",
     )
-    p_dck.add_argument("--size", default="16x16", help="synthetic image size")
+    p_dck.add_argument(
+        "--size", type=_size, default="16x16", help="synthetic image size"
+    )
     p_dck.add_argument(
         "--jobs", type=int, default=4, help="worker count for the parallel leg"
     )
@@ -1681,7 +1627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kc.add_argument(
         "--arches", default="1,2,3,4", help="comma-separated architecture list"
     )
-    p_kc.add_argument("--size", default="24x24", help="synthetic image size")
+    p_kc.add_argument(
+        "--size", type=_size, default="24x24", help="synthetic image size"
+    )
     p_kc.add_argument(
         "--digest-out", default=None, help="write the campaign digest here"
     )

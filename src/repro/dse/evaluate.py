@@ -22,12 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.apps.otsu.app import build_otsu_custom
 from repro.dse.space import Candidate, actors_of
-from repro.flow.orchestrator import FlowConfig, run_flow
-from repro.sim.runtime import simulate_application
+from repro.flow.orchestrator import FlowConfig
 from repro.soc.integrator import IntegrationConfig
 from repro.util.errors import ReproError
 
@@ -130,18 +127,15 @@ def evaluate_candidate(
 
     dma_cells = 0
     if hw:
-        directives = {
-            actor: [
-                d
-                for d in dirs
-                if d.kind != "pipeline" or actor in pipelined
-            ]
-            for actor, dirs in app.extra_directives.items()
-        }
-        flow = run_flow(
-            app.dsl_graph(),
-            app.c_sources,
-            extra_directives=directives,
+        flow = app.build(
+            extra_directives={
+                actor: [
+                    d
+                    for d in dirs
+                    if d.kind != "pipeline" or actor in pipelined
+                ]
+                for actor, dirs in app.extra_directives.items()
+            },
             config=dse_flow_config(
                 fn_cache_dir=fn_cache_dir,
                 one_dma_per_stream=(dma == "per-stream"),
@@ -161,17 +155,8 @@ def evaluate_candidate(
 
         usage = ResourceUsage()
         fn_hits = fn_misses = 0
-    report = simulate_application(
-        app.htg,
-        app.partition,
-        app.behaviors,
-        {},
-        system=system,
-        hp_words_per_cycle=hp_words,
-    )
-    correct = bool(
-        np.array_equal(report.of("binImage"), np.asarray(app.golden["binary"]))
-    )
+    report = app.simulate(system, hp_words_per_cycle=hp_words)
+    correct = app.matches(report)
     return EvalPoint(
         candidate=candidate,
         lut=usage.lut,

@@ -19,8 +19,8 @@ proven artifact-equivalent to the serial path by
 ``tests/test_flow_parallel.py``.
 
 The crash-consistency layer lives in :mod:`journal` (write-ahead run
-journal; :func:`resume_flow` continues a killed run, re-executing only
-the interrupted tail) and :mod:`crashpoints` (deterministic
+journal; :func:`run_flow` given the journal of a killed run continues
+it, re-executing only the interrupted tail) and :mod:`crashpoints` (deterministic
 crash-injection at every journal boundary — the engine behind
 ``repro crashcheck``).
 """
@@ -43,7 +43,6 @@ from repro.flow.orchestrator import (
     FlowConfig,
     FlowResult,
     flow_run_digest,
-    resume_flow,
     run_flow,
 )
 from repro.flow.parallel import topological_waves
@@ -80,7 +79,6 @@ __all__ = [
     "flow_run_digest",
     "lift_to_htg",
     "materialize",
-    "resume_flow",
     "run_flow",
     "sdsoc_flow",
     "stable_digest",

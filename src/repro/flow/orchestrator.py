@@ -493,9 +493,13 @@ def run_flow(
 
     *journal* (a :class:`RunJournal` or a path for one) makes the run
     crash-safe: every step is recorded write-ahead, so a killed run can
-    be continued with :func:`resume_flow` — committed steps are served
-    from the content-addressed cache and only the interrupted tail
-    re-executes.
+    be continued by calling :func:`run_flow` again with the same inputs
+    and journal — committed steps are served from the content-addressed
+    cache and only the interrupted tail re-executes.  The result is
+    byte-identical to an uninterrupted run (proven per journal boundary
+    by ``repro crashcheck``); if the inputs or config changed since the
+    interrupted run, the journal digest mismatches and the flow rebuilds
+    cleanly instead of reusing stale state.
     """
     config = config or FlowConfig()
     text = description if isinstance(description, str) else emit_dsl(description)
@@ -527,35 +531,3 @@ def run_flow(
     if hooks.result is None:  # pragma: no cover - parse_dsl raises first
         raise FlowError("flow did not complete")
     return hooks.result
-
-
-def resume_flow(
-    description: str | TgGraph,
-    c_sources: dict[str, str],
-    *,
-    journal: RunJournal | str | os.PathLike,
-    extra_directives: dict[str, list[Directive]] | None = None,
-    core_cache: dict[str, CoreBuild] | None = None,
-    config: FlowConfig | None = None,
-    build_cache: BuildCache | None = None,
-) -> FlowResult:
-    """Continue an interrupted :func:`run_flow` from its run journal.
-
-    Semantically identical to calling :func:`run_flow` with the same
-    inputs and journal — the journal decides what can be skipped: steps
-    it committed (with matching input digests) are satisfied from the
-    content-addressed cache, the interrupted tail re-executes, and the
-    result is byte-identical to an uninterrupted run (proven per journal
-    boundary by ``repro crashcheck``).  If the inputs or config changed
-    since the interrupted run, the journal digest mismatches and the
-    flow rebuilds cleanly from scratch instead of reusing stale state.
-    """
-    return run_flow(
-        description,
-        c_sources,
-        extra_directives=extra_directives,
-        core_cache=core_cache,
-        config=config,
-        build_cache=build_cache,
-        journal=journal,
-    )

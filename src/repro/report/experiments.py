@@ -15,7 +15,7 @@ import numpy as np
 from repro.apps.otsu import ARCHITECTURES, OtsuApplication, build_otsu_app
 from repro.apps.otsu.csrc import ACTOR_TO_TABLE1
 from repro.flow.buildcache import BuildCache
-from repro.flow.orchestrator import CoreBuild, FlowConfig, FlowResult, run_flow
+from repro.flow.orchestrator import CoreBuild, FlowConfig, FlowResult
 from repro.util.text import format_table
 
 #: The four architectures of Table I.
@@ -67,13 +67,8 @@ def build_all_architectures(
     core_cache: dict[str, CoreBuild] = {}
     for arch in (4, 1, 2, 3):
         app = build_otsu_app(arch, width=width, height=height)
-        flow = run_flow(
-            app.dsl_graph(),
-            app.c_sources,
-            extra_directives=app.extra_directives,
-            core_cache=core_cache,
-            config=config,
-            build_cache=build_cache,
+        flow = app.build(
+            core_cache=core_cache, config=config, build_cache=build_cache
         )
         if arch == 4:
             core_cache.update(flow.cores)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.report.codesize import compare_code_size
 from repro.report.experiments import (
     ArchBuild,
@@ -20,7 +18,6 @@ from repro.report.experiments import (
     regenerate_table1,
     regenerate_table2,
 )
-from repro.sim.runtime import simulate_application
 
 
 def experiment_summary(builds: dict[int, ArchBuild]) -> dict[str, Any]:
@@ -34,19 +31,9 @@ def experiment_summary(builds: dict[int, ArchBuild]) -> dict[str, Any]:
     cycles: dict[str, int] = {}
     bit_exact: dict[str, bool] = {}
     for arch, build in builds.items():
-        report = simulate_application(
-            build.app.htg,
-            build.app.partition,
-            build.app.behaviors,
-            {},
-            system=build.flow.system,
-        )
+        report = build.app.simulate(build.flow.system)
         cycles[f"arch{arch}"] = report.cycles
-        bit_exact[f"arch{arch}"] = bool(
-            np.array_equal(
-                report.of("binImage"), np.asarray(build.app.golden["binary"])
-            )
-        )
+        bit_exact[f"arch{arch}"] = build.app.matches(report)
 
     return {
         "table1": {f"arch{a}": row for a, row in t1.rows.items()},

@@ -20,8 +20,8 @@ disk.  Every other record is replaced durably with :func:`write_json`.
 Recovery classifies each job directory by what survived: a terminal
 record means the job is re-served from its own durable result
 (*replay*); a journal without a terminal record means the job died
-mid-flight and resumes through
-:func:`~repro.flow.orchestrator.resume_flow` (*resume*); ``job.json``
+mid-flight and resumes by re-running
+:func:`~repro.flow.orchestrator.run_flow` over that journal (*resume*); ``job.json``
 alone means the job never started and is simply re-queued.
 
 The global index maps a :meth:`~repro.service.jobs.JobSpec.content_digest`

@@ -73,6 +73,11 @@ class HtgError(ReproError):
     """Hierarchical task graph model violation (cycles, bad references)."""
 
 
+# --- applications ------------------------------------------------------
+class AppConfigError(ReproError, ValueError):
+    """An application was asked for a size or shape it cannot build."""
+
+
 # --- HLS ---------------------------------------------------------------
 class HlsError(LocatedError):
     """Base class for high-level-synthesis errors."""

@@ -13,7 +13,7 @@ from repro.apps.audio import (
     preemph_src,
     synthetic_audio,
 )
-from repro.dsl import graph_from_htg, validate_graph
+from repro.dsl import validate_graph
 from repro.hls import InterfaceMode, interface, synthesize_function
 from repro.htg import validate_htg
 from repro.sim import simulate_application
@@ -75,41 +75,29 @@ class TestKernelsMatchReferences:
 
 class TestApplication:
     def test_structures_valid(self):
-        htg, partition, behaviors, sources, _ = build_audio_app(n=256, frame=32)
-        validate_htg(htg)
-        partition.validate(htg)
-        validate_graph(graph_from_htg(htg, partition))
+        app = build_audio_app(n=256, frame=32)
+        validate_htg(app.htg)
+        app.partition.validate(app.htg)
+        validate_graph(app.dsl_graph())
 
     def test_frame_divisibility(self):
         with pytest.raises(ReproError, match="multiple"):
             build_audio_app(n=100, frame=32)
 
     def test_all_software_run(self):
-        htg, _, behaviors, _, expected = build_audio_app(n=256, frame=32, hw=False)
+        app = build_audio_app(n=256, frame=32)
         from repro.htg import Partition
 
         report = simulate_application(
-            htg, Partition.all_software(htg), behaviors, {}
+            app.htg, Partition.all_software(app.htg), app.behaviors, {}
         )
-        assert np.array_equal(report.of("hits"), expected)
+        assert np.array_equal(report.of("hits"), app.expected["hits"])
 
     def test_hardware_run_bit_exact(self):
-        from repro.flow import run_flow
-        from repro.hls.interfaces import pipeline as pipe
-
-        htg, partition, behaviors, sources, expected = build_audio_app(
-            n=256, frame=32
-        )
-        graph = graph_from_htg(htg, partition)
-        flow = run_flow(
-            graph,
-            sources,
-            extra_directives={"preemph": [pipe("preemph", "i")]},
-        )
-        report = simulate_application(
-            htg, partition, behaviors, {}, system=flow.system
-        )
-        assert np.array_equal(report.of("hits"), expected)
+        app = build_audio_app(n=256, frame=32)
+        flow = app.build()
+        report = app.simulate(flow.system)
+        assert np.array_equal(report.of("hits"), app.expected["hits"])
         # One DMA in, one out: a single dual-channel engine.
         dmas = [c for c in flow.design.cells.values() if "axi_dma" in c.vlnv]
         assert len(dmas) == 1

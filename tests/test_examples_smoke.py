@@ -37,3 +37,16 @@ def test_voice_trigger(monkeypatch, capsys):
     out = run_example("voice_trigger.py", monkeypatch, capsys)
     assert "voiced frames" in out
     assert "CPU busy only" in out
+
+
+def test_edge_detect_2d(tmp_path, capsys):
+    # Load without running, then point the image output at tmp_path.
+    main = runpy.run_path(str(EXAMPLES / "edge_detect_2d.py"))["main"]
+    main.__globals__["OUT"] = tmp_path
+    main()
+    out = capsys.readouterr().out
+    assert "stream discipline: OK for both cores" in out
+    assert "edges bit-exact" in out
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "gray.pgm", "blurred.pgm", "edges.pgm",
+    }

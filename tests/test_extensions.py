@@ -343,6 +343,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bit-exact" in out
 
+    @pytest.mark.parametrize("command", ["otsu", "simbench", "dse", "crashcheck"])
+    @pytest.mark.parametrize("size", ["16xq", "0x16", "-4x4", "16x0"])
+    def test_bad_size_is_a_usage_error(self, command, size, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--size={size}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --size" in err
+
+    def test_image_too_large_for_16bit_bins(self, capsys):
+        from repro.cli import main
+
+        assert main(["otsu", "--arch", "4", "--size", "256"]) == 2
+        assert "error: halfProbability's 16-bit histogram" in capsys.readouterr().err
+
     def test_simulate_seed_flag(self, workspace, capsys):
         from repro.cli import main
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.apps.kernels import build_fig4_flow_inputs
 from repro.dsl import emit_dsl
-from repro.flow import FlowConfig, RunJournal, all_sites, resume_flow, run_flow
+from repro.flow import FlowConfig, RunJournal, all_sites, run_flow
 from repro.flow.crashpoints import CRASH_EXIT_CODE, CrashPlan, armed
 from repro.obs import capture, chrome_trace
 from repro.util.errors import FlowInterrupted
@@ -91,7 +91,7 @@ class TestInProcessCrashResume:
             # write-ahead record of the step the kill landed on) — legal
             # exactly here, and the spans still all closed.
             assert_well_formed(bus.events(), allow_dangling_intents=True)
-            resume_flow(
+            run_flow(
                 graph, sources, extra_directives=directives,
                 config=config, journal=journal,
             )
@@ -119,7 +119,7 @@ class TestInProcessCrashResume:
                     config=config, journal=journal,
                 )
         with capture() as (bus, registry):
-            resume_flow(
+            run_flow(
                 graph, sources, extra_directives=directives,
                 config=config, journal=journal,
             )

@@ -24,7 +24,6 @@ from repro.flow import (
     RunJournal,
     all_sites,
     materialize,
-    resume_flow,
     run_flow,
     verify_workspace,
 )
@@ -73,7 +72,7 @@ def crash_then_resume(inputs, workdir, site, *, resume_directives=None,
     except FlowInterrupted as exc:
         interrupted = True
         assert exc.step == site
-    resumed = resume_flow(
+    resumed = run_flow(
         graph, sources,
         extra_directives=directives if resume_directives is None else resume_directives,
         config=resume_config or config, journal=journal,
@@ -133,7 +132,7 @@ class TestConfigChangeInvalidatesJournal:
         # Same cache, same journal file — but a different worker count is
         # a different run digest, so the journal is discarded, not replayed.
         parallel = FlowConfig(jobs=2, cache_dir=str(tmp_path / "cache"))
-        resumed = resume_flow(
+        resumed = run_flow(
             graph, sources, extra_directives=directives,
             config=parallel, journal=journal,
         )
@@ -153,7 +152,7 @@ class TestConfigChangeInvalidatesJournal:
                     config=FlowConfig(cache_dir=str(tmp_path / "cache-a")),
                     journal=journal,
                 )
-        resumed = resume_flow(
+        resumed = run_flow(
             graph, sources, extra_directives=directives,
             config=FlowConfig(cache_dir=str(tmp_path / "cache-b")),
             journal=journal,
@@ -202,7 +201,7 @@ class TestQuarantinedCacheResume:
         entry = sorted((tmp_path / "cache" / "objects").glob("*/*"))[0]
         entry.write_bytes(entry.read_bytes()[:16])
         with pytest.warns(CacheIntegrityWarning):
-            resumed = resume_flow(
+            resumed = run_flow(
                 graph, sources, extra_directives=directives,
                 config=config, journal=journal,
             )
@@ -228,7 +227,7 @@ class TestDoubleResume:
         marker = tmp_path / "out" / "hls" / "repro_cells.v"
         mtime = marker.stat().st_mtime_ns
         journal = RunJournal(tmp_path / "journal")
-        second = resume_flow(
+        second = run_flow(
             graph, sources, extra_directives=directives,
             config=config, journal=journal,
         )
